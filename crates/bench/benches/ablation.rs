@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices that "Deviations from the paper"
+//! in `docs/ARCHITECTURE.md` calls out:
 //!
 //! * **chain-walk memoization** (Algorithm 4 line 13): disabling it keeps
 //!   results identical but loses Lemma 4.3's amortization — Example 4.1

@@ -1,6 +1,10 @@
 //! Microbenchmarks for the CDS building blocks (Props 3.1, E.2, E.3):
 //! interval-set insertion/`Next`, sorted-list operations, and constraint
-//! streams through the `ConstraintTree`.
+//! streams through the `ConstraintTree` in both probe modes.
+//!
+//! `interval_set/insert_desc` puts every insert at the front of the set and
+//! grows it far past `FLAT_MAX` ranges: the worst case of the flat
+//! representation, and the workload of the spilled one.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use minesweeper_cds::{
@@ -46,6 +50,17 @@ fn interval_set_ops(c: &mut Criterion) {
             })
         });
     }
+    for &n in &[10_000i64, 100_000] {
+        group.bench_with_input(BenchmarkId::new("insert_desc", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut s = IntervalSet::new();
+                for k in (0..n).rev() {
+                    s.insert_closed(3 * k, 3 * k + 1);
+                }
+                black_box(s.len())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -86,6 +101,32 @@ fn constraint_tree_stream(c: &mut Criterion) {
                 if let Some(t) = cds.get_probe_point(&mut st) {
                     cds.insert_constraint(&Constraint::point_exclusion(&t), &mut st);
                 }
+            }
+            black_box(st.probe_points)
+        })
+    });
+    // A chain-mode drain over [0, 300]²: every principal filter is the
+    // chain ⟨a⟩ ⪯ ⟨˚⟩ (the shape of a 2-path under its nested elimination
+    // order), fed random gaps under both patterns and point exclusions.
+    c.bench_function("constraint_tree/chain_probe_stream", |b| {
+        b.iter(|| {
+            let mut cds = ConstraintTree::new(2, ProbeMode::Chain);
+            let mut st = ProbeStats::default();
+            let mut seed = 7u64;
+            for p in [Pattern::empty(), Pattern::all_star(1)] {
+                let inf = (minesweeper_cds::NEG_INF, minesweeper_cds::POS_INF);
+                cds.insert_constraint(&Constraint::new(p.clone(), inf.0, 0), &mut st);
+                cds.insert_constraint(&Constraint::new(p, 300, inf.1), &mut st);
+            }
+            while let Some(t) = cds.get_probe_point(&mut st) {
+                let width = (xorshift(&mut seed) % 6) as i64;
+                // Rare wildcard gaps, so most rows are covered one by one.
+                let c = match xorshift(&mut seed) % 16 {
+                    0 => Constraint::new(Pattern::all_star(1), t[1] - 1, t[1] + width + 1),
+                    1..=11 => Constraint::new(Pattern::all_eq(&t[..1]), t[1] - 1, t[1] + width + 1),
+                    _ => Constraint::point_exclusion(&t),
+                };
+                cds.insert_constraint(&c, &mut st);
             }
             black_box(st.probe_points)
         })

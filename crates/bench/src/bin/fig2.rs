@@ -29,7 +29,8 @@ fn main() {
     println!(
         "Figure 2 reproduction: input size (N) vs certificate size (|C|)\n\
          |C| measured by counting FindGap operations (Section 5.2).\n\
-         Datasets are Chung-Lu stand-ins for the SNAP graphs (DESIGN.md).\n"
+         Datasets are Chung-Lu stand-ins for the SNAP graphs (see\n\
+         \"Deviations from the paper\" in docs/ARCHITECTURE.md).\n"
     );
     let mut table = Table::new(&[
         "Query", "Dataset", "N", "|C|", "N/|C|", "Z", "probes", "time",

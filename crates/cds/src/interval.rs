@@ -5,12 +5,17 @@
 //! integer domain the open interval `(l, r)` covers exactly the closed
 //! integer range `[l+1, r−1]`, which is how we store them. Overlapping and
 //! adjacent ranges are merged eagerly, so the structure always holds
-//! pairwise-disjoint, non-adjacent closed ranges — giving `O(log W)`
-//! `covers`/`next` and amortized `O(log W)` `insert` (each merge consumes a
-//! previously inserted range, Prop E.3).
+//! pairwise-disjoint, non-adjacent closed ranges.
+//!
+//! The ranges live in a [`SortedList<Val>`] mapping `lo → hi`: a sorted
+//! `Vec` while the set holds at most [`FLAT_MAX`](crate::sorted_list::FLAT_MAX)
+//! ranges, a `BTreeMap` past that (see [`crate::sorted_list`]). Because
+//! ranges never touch, `covers` and `next` are one `find_glb` each —
+//! `O(log W)` — and `insert` is a glb lookup plus one
+//! `replace_range_closed` over the absorbed ranges: amortized `O(log W)`,
+//! since each absorbed range was paid for by its own insertion (Prop E.3).
 
-use std::collections::BTreeMap;
-
+use crate::sorted_list::SortedList;
 use crate::{Val, NEG_INF, POS_INF};
 
 /// A set of disjoint closed integer ranges, keyed by their low endpoint.
@@ -26,7 +31,7 @@ use crate::{Val, NEG_INF, POS_INF};
 pub struct IntervalSet {
     /// `lo → hi` with `lo ≤ hi`; ranges pairwise disjoint and separated by
     /// at least one free integer.
-    map: BTreeMap<Val, Val>,
+    ranges: SortedList<Val>,
 }
 
 impl IntervalSet {
@@ -37,42 +42,38 @@ impl IntervalSet {
 
     /// True when no range is stored.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.ranges.is_empty()
     }
 
     /// Number of maximal ranges currently stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.ranges.len()
     }
 
     /// Iterates the maximal ranges in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = (Val, Val)> + '_ {
-        self.map.iter().map(|(&lo, &hi)| (lo, hi))
+        self.ranges.iter().map(|(lo, &hi)| (lo, hi))
+    }
+
+    /// The range starting at or before `v`, if any.
+    fn glb(&self, v: Val) -> Option<(Val, Val)> {
+        self.ranges.find_glb(v).map(|(lo, &hi)| (lo, hi))
     }
 
     /// The paper's `covers(v)`: is `v` inside some stored range?
     pub fn covers(&self, v: Val) -> bool {
-        self.map
-            .range(..=v)
-            .next_back()
-            .is_some_and(|(_, &hi)| hi >= v)
+        self.glb(v).is_some_and(|(_, hi)| hi >= v)
     }
 
     /// The paper's `Next(v)`: the smallest `v' ≥ v` not covered by any
     /// range. Saturates at [`POS_INF`], which callers treat as "no free
-    /// value".
+    /// value". Ranges never touch, so the value just past the range
+    /// covering `v` is free.
     pub fn next(&self, v: Val) -> Val {
-        let mut v = v;
-        while let Some((_, &hi)) = self.map.range(..=v).next_back() {
-            if hi < v {
-                break;
-            }
-            if hi == POS_INF {
-                return POS_INF;
-            }
-            v = hi + 1;
+        match self.glb(v) {
+            Some((_, hi)) if hi >= v => hi.saturating_add(1),
+            _ => v,
         }
-        v
     }
 
     /// Inserts the *open* interval `(l, r)` (paper syntax). Empty open
@@ -98,7 +99,13 @@ impl IntervalSet {
     /// Inserts the closed range `[lo, hi]`, merging as needed. Returns
     /// `true` if any previously-free integer became covered.
     pub fn insert_closed(&mut self, lo: Val, hi: Val) -> bool {
-        !self.insert_closed_returning_new(lo, hi).is_empty()
+        assert!(lo <= hi, "insert_closed requires lo <= hi");
+        let left = self.glb(lo);
+        if left.is_some_and(|(_, e)| e >= hi) {
+            return false;
+        }
+        self.merge(left, lo, hi);
+        true
     }
 
     /// Inserts `[lo, hi]` and returns the maximal sub-ranges of `[lo, hi]`
@@ -106,96 +113,69 @@ impl IntervalSet {
     /// dyadic tree of Appendix L uses these to drive upward propagation.
     pub fn insert_closed_returning_new(&mut self, lo: Val, hi: Val) -> Vec<(Val, Val)> {
         assert!(lo <= hi, "insert_closed requires lo <= hi");
-        // Find the merge window: every stored range that overlaps or is
-        // adjacent to [lo, hi].
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        let mut absorbed: Vec<Val> = Vec::new();
-        // Scan only the ranges that can touch [lo−1, hi+1]: start from the
-        // last range beginning at or before `lo` (it may reach into the
-        // window) and stop past `hi+1`.
-        let right_probe = if hi == POS_INF { POS_INF } else { hi + 1 };
-        let scan_start = self
-            .map
-            .range(..=lo)
-            .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(lo);
-        if scan_start <= right_probe {
-            for (&s, &e) in self.map.range(scan_start..=right_probe) {
-                // Adjacent-or-overlapping: e ≥ lo − 1.
-                if e >= lo.saturating_sub(1) {
-                    absorbed.push(s);
-                    new_lo = new_lo.min(s);
-                    new_hi = new_hi.max(e);
-                }
-            }
-        }
-        // Compute newly covered pieces of [lo, hi] (complement of old
-        // coverage restricted to [lo, hi]).
         let mut newly = Vec::new();
         let mut cursor = lo;
-        for &s in &absorbed {
-            let e = self.map[&s];
-            // Overlap of [s, e] with [lo, hi].
-            let os = s.max(lo);
-            let oe = e.min(hi);
-            if os > oe {
-                continue; // merely adjacent, no overlap
+        let mut tail = true;
+        for (s, e) in self.covered_within(lo, hi) {
+            if cursor < s {
+                newly.push((cursor, s - 1));
             }
-            if cursor < os {
-                newly.push((cursor, os - 1));
-            }
-            cursor = cursor.max(oe.saturating_add(1));
-            if cursor > hi {
+            if e == hi {
+                tail = false;
                 break;
             }
+            cursor = e + 1;
         }
-        if cursor <= hi {
+        if tail {
             newly.push((cursor, hi));
         }
-        for s in absorbed {
-            self.map.remove(&s);
+        if !newly.is_empty() {
+            self.merge(self.glb(lo), lo, hi);
         }
-        self.map.insert(new_lo, new_hi);
         newly
+    }
+
+    /// Merges `[lo, hi]` with every stored range that overlaps or is
+    /// adjacent to it; `left` is `self.glb(lo)`.
+    fn merge(&mut self, left: Option<(Val, Val)>, lo: Val, hi: Val) {
+        // A range touching [lo, hi] from the left starts at or before lo;
+        // any other touching range starts inside [lo, hi + 1].
+        let new_lo = match left {
+            Some((s, e)) if e >= lo.saturating_sub(1) => s,
+            _ => lo,
+        };
+        let right = hi.saturating_add(1);
+        let new_hi = self.glb(right).map_or(hi, |(_, e)| e.max(hi));
+        self.ranges
+            .replace_range_closed(new_lo, right, new_lo, new_hi);
     }
 
     /// Returns the parts of `[lo, hi]` covered by this set, in order. Used
     /// for sibling intersection in the dyadic tree.
     pub fn covered_within(&self, lo: Val, hi: Val) -> Vec<(Val, Val)> {
         assert!(lo <= hi);
-        let mut out = Vec::new();
         // Start from the last range with start ≤ lo (it may reach into the
         // window), then walk forward.
-        let first = self.map.range(..=lo).next_back().map(|(&s, _)| s);
-        let start = first.unwrap_or(lo);
-        for (&s, &e) in self.map.range(start..) {
-            if s > hi {
-                break;
-            }
-            let os = s.max(lo);
-            let oe = e.min(hi);
-            if os <= oe {
-                out.push((os, oe));
-            }
-        }
-        out
+        let start = self.glb(lo).map_or(lo, |(s, _)| s);
+        self.ranges
+            .iter_from(start)
+            .take_while(|&(s, _)| s <= hi)
+            .filter_map(|(s, &e)| {
+                let (os, oe) = (s.max(lo), e.min(hi));
+                (os <= oe).then_some((os, oe))
+            })
+            .collect()
     }
 
     /// True if `[lo, hi]` is fully covered.
     pub fn covers_range(&self, lo: Val, hi: Val) -> bool {
-        match self.map.range(..=lo).next_back() {
-            Some((_, &e)) => e >= hi,
-            None => false,
-        }
+        self.glb(lo).is_some_and(|(_, e)| e >= hi)
     }
 
     /// Total count of covered integers, saturating (diagnostics/tests).
     pub fn covered_count(&self) -> u128 {
-        self.map
-            .iter()
-            .map(|(&lo, &hi)| (hi as i128 - lo as i128 + 1) as u128)
+        self.iter()
+            .map(|(lo, hi)| (hi as i128 - lo as i128 + 1) as u128)
             .sum()
     }
 }
@@ -289,6 +269,9 @@ mod tests {
         assert_eq!(new, vec![(0, 4), (11, 19), (26, 30)]);
         let new = s.insert_closed_returning_new(0, 30);
         assert!(new.is_empty());
+        // A covered `+∞` end is not reported as new.
+        s.insert_closed(100, POS_INF);
+        assert_eq!(s.insert_closed_returning_new(90, POS_INF), vec![(90, 99)]);
     }
 
     #[test]
@@ -312,8 +295,24 @@ mod tests {
         assert_eq!(s.covered_count(), 11);
     }
 
+    /// Maximal runs of `want` inside `model[lo..=hi]`, as closed ranges.
+    fn model_runs(model: &[bool], lo: i64, hi: i64, want: bool) -> Vec<(i64, i64)> {
+        let mut out: Vec<(i64, i64)> = Vec::new();
+        for v in lo..=hi {
+            if model[v as usize] != want {
+                continue;
+            }
+            match out.last_mut() {
+                Some(last) if last.1 + 1 == v => last.1 = v,
+                _ => out.push((v, v)),
+            }
+        }
+        out
+    }
+
     /// Randomized cross-check against a naive bit-set model on a small
-    /// domain.
+    /// domain: coverage, `next`, both insert flavours' results, and the
+    /// window queries.
     #[test]
     fn model_check_small_domain() {
         const DOM: i64 = 64;
@@ -331,7 +330,20 @@ mod tests {
                 let a = (rng() % DOM as u64) as i64;
                 let b = (rng() % DOM as u64) as i64;
                 let (lo, hi) = (a.min(b), a.max(b));
-                s.insert_closed(lo, hi);
+                let fresh = model_runs(&model, lo, hi, false);
+                if rng() % 2 == 0 {
+                    assert_eq!(
+                        s.insert_closed(lo, hi),
+                        !fresh.is_empty(),
+                        "insert [{lo}, {hi}]"
+                    );
+                } else {
+                    assert_eq!(
+                        s.insert_closed_returning_new(lo, hi),
+                        fresh,
+                        "new in [{lo}, {hi}]"
+                    );
+                }
                 for v in lo..=hi {
                     model[v as usize] = true;
                 }
@@ -343,7 +355,46 @@ mod tests {
                     let got = s.next(v).min(DOM);
                     assert_eq!(got, expect, "next({v})");
                 }
+                for _ in 0..8 {
+                    let a = (rng() % DOM as u64) as i64;
+                    let b = (rng() % DOM as u64) as i64;
+                    let (wlo, whi) = (a.min(b), a.max(b));
+                    assert_eq!(
+                        s.covered_within(wlo, whi),
+                        model_runs(&model, wlo, whi, true),
+                        "covered_within({wlo}, {whi})"
+                    );
+                    assert_eq!(
+                        s.covers_range(wlo, whi),
+                        model[wlo as usize..=whi as usize].iter().all(|&c| c),
+                        "covers_range({wlo}, {whi})"
+                    );
+                }
             }
         }
+    }
+
+    /// More than `FLAT_MAX` disjoint ranges inserted in descending order
+    /// (every insert lands at the front), then merged back into one.
+    #[test]
+    fn many_ranges_descending() {
+        let n = crate::sorted_list::FLAT_MAX as i64 + 300;
+        let mut s = IntervalSet::new();
+        for k in (0..n).rev() {
+            assert!(s.insert_closed(3 * k, 3 * k + 1));
+        }
+        assert_eq!(s.len(), n as usize);
+        for v in 0..3 * n {
+            assert_eq!(s.covers(v), v % 3 != 2, "covers({v})");
+            let free = if v % 3 == 2 { v } else { v - v % 3 + 2 };
+            assert_eq!(s.next(v), free, "next({v})");
+        }
+        assert_eq!(s.covered_within(4, 9), vec![(4, 4), (6, 7), (9, 9)]);
+        assert_eq!(
+            s.insert_closed_returning_new(0, 3 * n - 1),
+            (0..n).map(|k| (3 * k + 2, 3 * k + 2)).collect::<Vec<_>>()
+        );
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(0, 3 * n - 1)]);
+        assert_eq!(s.covered_count(), 3 * n as u128);
     }
 }

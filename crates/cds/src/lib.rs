@@ -7,8 +7,13 @@
 //!
 //! This crate provides:
 //! * [`IntervalSet`] — the `IntervalList` building block (Prop E.3): merged
-//!   open gaps over an integer domain with `Next` / `covers` / `insert`;
-//! * [`SortedList`] — the sorted-dictionary building block (Prop E.2);
+//!   open gaps over an integer domain with `Next` / `covers` / `insert`,
+//!   stored as a [`SortedList`] of ranges;
+//! * [`SortedList`] — the sorted-dictionary building block (Prop E.2): a
+//!   sorted `Vec` searched by binary search while it holds at most
+//!   [`sorted_list::FLAT_MAX`] keys, a `BTreeMap` past that. Capping the
+//!   flat form caps the entries one insert or delete shifts, so both forms
+//!   keep the `O(log N)` bounds of Props E.2 and E.3;
 //! * [`Pattern`] / the specialization poset of Section 4.2;
 //! * [`Constraint`] — an equality/wildcard pattern followed by one open
 //!   interval component;

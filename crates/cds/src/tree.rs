@@ -20,11 +20,18 @@
 //! chain of **shadow** nodes, then runs the same walk over
 //! (shadow, original) pairs.
 //!
-//! Deviation from the paper's pseudocode (documented in DESIGN.md): the
-//! memoized constraint of Algorithm 7 line 11 is inserted at the *shadow*
-//! pattern `P̄(u)` rather than `P(u)`; inserting at the more general `P(u)`
-//! would claim the exclusion for tuples that do not match the rest of the
-//! sub-chain. For chains the two coincide, so Algorithm 4 is unaffected.
+//! Deviation from the paper's pseudocode (see "Deviations from the paper"
+//! in `docs/ARCHITECTURE.md`): the memoized constraint of Algorithm 7
+//! line 11 is inserted at the *shadow* pattern `P̄(u)` rather than `P(u)`;
+//! inserting at the more general `P(u)` would claim the exclusion for
+//! tuples that do not match the rest of the sub-chain. For chains the two
+//! coincide, so Algorithm 4 is unaffected.
+//!
+//! `get_probe_point` allocates nothing but the tuple it returns: the
+//! frontier stack, the filter, the (shadow, original) pairs and the
+//! running meet live in reusable scratch buffers, and in
+//! [`ProbeMode::Chain`] the pairs are `(u, u)` outright — every suffix meet
+//! of a chain is its own bottom.
 
 use crate::constraint::Constraint;
 use crate::interval::IntervalSet;
@@ -61,9 +68,37 @@ pub struct ProbeStats {
 
 struct Node {
     pattern: Pattern,
+    /// `pattern.eq_count()`, the primary key of the filter linearization.
+    eq_count: usize,
     equalities: SortedList<usize>,
     star: Option<usize>,
     intervals: IntervalSet,
+}
+
+impl Node {
+    fn new(pattern: Pattern) -> Self {
+        Node {
+            eq_count: pattern.eq_count(),
+            pattern,
+            equalities: SortedList::new(),
+            star: None,
+            intervals: IntervalSet::new(),
+        }
+    }
+}
+
+/// Buffers `get_probe_point` reuses from call to call, so that a probe
+/// allocates nothing but the tuple it returns.
+#[derive(Default)]
+struct Scratch {
+    /// `frontiers[i]`: the nodes whose pattern matches the prefix `t₁…t_i`.
+    frontiers: Vec<Vec<usize>>,
+    /// The principal filter `G` of the current prefix, linearized.
+    g: Vec<usize>,
+    /// (shadow, original) pairs of the chain walked at the current depth.
+    pairs: Vec<(usize, usize)>,
+    /// The running suffix meet of Algorithm 6.
+    meet: Vec<PatternComp>,
 }
 
 /// The constraint data structure.
@@ -91,6 +126,8 @@ pub struct ConstraintTree {
     /// amortization of Lemma 4.3 is lost and Example 4.1-style workloads
     /// degrade from `Õ(N²)` to `Ω(N³)`.
     memoize: bool,
+    /// Boxed to keep the tree, and every stream embedding it, small.
+    scratch: Box<Scratch>,
 }
 
 const ROOT: usize = 0;
@@ -102,19 +139,21 @@ impl ConstraintTree {
     }
 
     /// Creates a CDS with explicit options; `memoize = false` disables the
-    /// chain-walk memoization (ablation only — see DESIGN.md).
+    /// chain-walk memoization (ablation only — see the deviations section
+    /// of `docs/ARCHITECTURE.md`).
     pub fn with_options(n_attrs: usize, mode: ProbeMode, memoize: bool) -> Self {
         assert!(n_attrs >= 1);
+        let mut frontiers = vec![Vec::new(); n_attrs + 1];
+        frontiers[0].push(ROOT);
         ConstraintTree {
             n_attrs,
-            nodes: vec![Node {
-                pattern: Pattern::empty(),
-                equalities: SortedList::new(),
-                star: None,
-                intervals: IntervalSet::new(),
-            }],
+            nodes: vec![Node::new(Pattern::empty())],
             mode,
             memoize,
+            scratch: Box::new(Scratch {
+                frontiers,
+                ..Scratch::default()
+            }),
         }
     }
 
@@ -138,48 +177,38 @@ impl ConstraintTree {
             return;
         }
         let mut v = ROOT;
-        for comp in &c.pattern.0 {
-            match comp {
-                PatternComp::Eq(val) => {
-                    if self.nodes[v].intervals.covers(*val) {
-                        return; // subsumed by an existing constraint
-                    }
-                    v = match self.nodes[v].equalities.find(*val) {
-                        Some(&c) => c,
-                        None => {
-                            let c = self.alloc_child(v, PatternComp::Eq(*val), stats);
-                            self.nodes[v].equalities.insert(*val, c);
-                            c
-                        }
-                    };
-                }
-                PatternComp::Star => {
-                    v = match self.nodes[v].star {
-                        Some(c) => c,
-                        None => {
-                            let c = self.alloc_child(v, PatternComp::Star, stats);
-                            self.nodes[v].star = Some(c);
-                            c
-                        }
-                    };
+        for &comp in &c.pattern.0 {
+            if let PatternComp::Eq(val) = comp {
+                if self.nodes[v].intervals.covers(val) {
+                    return; // subsumed by an existing constraint
                 }
             }
+            v = self.child_or_alloc(v, comp, stats);
         }
         self.node_insert_open(v, c.lo, c.hi);
     }
 
-    fn alloc_child(&mut self, parent: usize, comp: PatternComp, stats: &mut ProbeStats) -> usize {
-        let mut pattern = self.nodes[parent].pattern.clone();
+    /// The child of `v` along `comp`, allocated if missing.
+    fn child_or_alloc(&mut self, v: usize, comp: PatternComp, stats: &mut ProbeStats) -> usize {
+        let existing = match comp {
+            PatternComp::Eq(val) => self.nodes[v].equalities.find(val).copied(),
+            PatternComp::Star => self.nodes[v].star,
+        };
+        if let Some(c) = existing {
+            return c;
+        }
+        let mut pattern = self.nodes[v].pattern.clone();
         pattern.0.push(comp);
-        let id = self.nodes.len();
+        let c = self.nodes.len();
         stats.nodes_created += 1;
-        self.nodes.push(Node {
-            pattern,
-            equalities: SortedList::new(),
-            star: None,
-            intervals: IntervalSet::new(),
-        });
-        id
+        self.nodes.push(Node::new(pattern));
+        match comp {
+            PatternComp::Eq(val) => {
+                self.nodes[v].equalities.insert(val, c);
+            }
+            PatternComp::Star => self.nodes[v].star = Some(c),
+        }
+        c
     }
 
     /// Inserts an open interval at a node, maintaining invariant (2): any
@@ -208,150 +237,128 @@ impl ConstraintTree {
     /// Finds or creates the node for `pattern`, without attaching any
     /// interval (shadow-node creation for Algorithm 6; the paper uses a
     /// dummy `(−∞, 0)` insertion, we simply allocate an interval-free node).
-    fn ensure_node(&mut self, pattern: &Pattern, stats: &mut ProbeStats) -> usize {
-        let mut v = ROOT;
-        for comp in &pattern.0 {
-            v = match comp {
-                PatternComp::Eq(val) => match self.nodes[v].equalities.find(*val) {
-                    Some(&c) => c,
-                    None => {
-                        let c = self.alloc_child(v, PatternComp::Eq(*val), stats);
-                        self.nodes[v].equalities.insert(*val, c);
-                        c
-                    }
-                },
-                PatternComp::Star => match self.nodes[v].star {
-                    Some(c) => c,
-                    None => {
-                        let c = self.alloc_child(v, PatternComp::Star, stats);
-                        self.nodes[v].star = Some(c);
-                        c
-                    }
-                },
-            };
-        }
-        v
-    }
-
-    /// Extends a frontier of prefix-matching nodes by one chosen value.
-    fn frontier_extend(&self, frontier: &[usize], v: Val) -> Vec<usize> {
-        let mut out = Vec::with_capacity(frontier.len() * 2);
-        for &u in frontier {
-            if let Some(&c) = self.nodes[u].equalities.find(v) {
-                out.push(c);
-            }
-            if let Some(c) = self.nodes[u].star {
-                out.push(c);
-            }
-        }
-        out
-    }
-
-    /// Recomputes the whole frontier stack for prefix `t` (used after
-    /// backtracking, when constraint insertion may have created nodes that
-    /// an incrementally-maintained stack would miss).
-    fn rebuild_frontiers(&self, t: &[Val]) -> Vec<Vec<usize>> {
-        let mut fs = Vec::with_capacity(t.len() + 1);
-        fs.push(vec![ROOT]);
-        for (i, &v) in t.iter().enumerate() {
-            let next = self.frontier_extend(&fs[i], v);
-            fs.push(next);
-        }
-        fs
+    fn ensure_node(&mut self, pattern: &[PatternComp], stats: &mut ProbeStats) -> usize {
+        pattern
+            .iter()
+            .fold(ROOT, |v, &comp| self.child_or_alloc(v, comp, stats))
     }
 
     /// `getProbePoint` (Algorithm 3 / Algorithm 6): returns an active tuple
     /// — one satisfying no stored constraint — or `None` when the
     /// constraints cover the whole output space.
     pub fn get_probe_point(&mut self, stats: &mut ProbeStats) -> Option<Vec<Val>> {
+        let mut s = std::mem::take(&mut *self.scratch);
+        let found = self.probe(&mut s, stats);
+        *self.scratch = s;
+        found
+    }
+
+    fn probe(&mut self, s: &mut Scratch, stats: &mut ProbeStats) -> Option<Vec<Val>> {
         let n = self.n_attrs;
         let mut t: Vec<Val> = Vec::with_capacity(n);
-        let mut frontiers: Vec<Vec<usize>> = vec![vec![ROOT]];
         loop {
             let i = t.len();
             if i == n {
                 stats.probe_points += 1;
                 return Some(t);
             }
-            let mut g: Vec<usize> = frontiers[i]
-                .iter()
-                .copied()
-                .filter(|&u| !self.nodes[u].intervals.is_empty())
-                .collect();
-            if g.is_empty() {
+            let nodes = &self.nodes;
+            s.g.clear();
+            s.g.extend(
+                s.frontiers[i]
+                    .iter()
+                    .copied()
+                    .filter(|&u| !nodes[u].intervals.is_empty()),
+            );
+            if s.g.is_empty() {
                 // No constraint applies: probe the sentinel (Appendix D.1
                 // probes t = (−1, −1, −1) first).
-                let f = self.frontier_extend(&frontiers[i], PROBE_START);
+                extend_frontier(nodes, &mut s.frontiers, i, PROBE_START);
                 t.push(PROBE_START);
-                frontiers.push(f);
                 continue;
             }
             // Linearize: most specialized first (strict specializations have
-            // strictly more equality components).
-            g.sort_by(|&a, &b| {
-                self.nodes[b]
-                    .pattern
-                    .eq_count()
-                    .cmp(&self.nodes[a].pattern.eq_count())
-                    .then_with(|| self.nodes[a].pattern.cmp(&self.nodes[b].pattern))
+            // strictly more equality components). Patterns are distinct, so
+            // the order is total and an unstable sort is deterministic.
+            s.g.sort_unstable_by(|&a, &b| {
+                nodes[b]
+                    .eq_count
+                    .cmp(&nodes[a].eq_count)
+                    .then_with(|| nodes[a].pattern.cmp(&nodes[b].pattern))
             });
-            if self.mode == ProbeMode::Chain {
-                debug_assert!(
-                    g.windows(2).all(|w| self.nodes[w[0]]
-                        .pattern
-                        .specializes(&self.nodes[w[1]].pattern)),
-                    "Chain mode requires the principal filter to be a chain \
-                     (Proposition 4.2); use ProbeMode::General for this GAO"
-                );
-            }
-            // Build (shadow, original) pairs via suffix meets (Algorithm 6
-            // lines 9–14). For a chain every shadow equals its original.
-            let chain = self.build_shadow_chain(&g, stats);
-            let bottom_pattern = self.nodes[chain[0].0].pattern.clone();
-            let val = self.next_shadow_chain_val(PROBE_START, 0, &chain, stats);
-            if val == POS_INF {
-                // Exhausted: backtrack (Algorithm 3 lines 12–16).
-                let i0 = bottom_pattern.last_eq_position();
-                if i0 == 0 {
-                    return None;
-                }
-                stats.backtracks += 1;
-                let c = Constraint::backtrack(&bottom_pattern, i0);
-                self.insert_constraint(&c, stats);
-                t.truncate(i0 - 1);
-                frontiers = self.rebuild_frontiers(&t);
-            } else {
-                let f = self.frontier_extend(&frontiers[i], val);
+            self.build_shadow_chain(s, stats);
+            let val = self.next_shadow_chain_val(PROBE_START, 0, &s.pairs, stats);
+            if val != POS_INF {
+                extend_frontier(&self.nodes, &mut s.frontiers, i, val);
                 t.push(val);
-                frontiers.push(f);
+                continue;
+            }
+            // Exhausted: backtrack (Algorithm 3 lines 12–16).
+            let bottom = &self.nodes[s.pairs[0].0].pattern;
+            let i0 = bottom.last_eq_position();
+            if i0 == 0 {
+                return None;
+            }
+            stats.backtracks += 1;
+            let c = Constraint::backtrack(bottom, i0);
+            self.insert_constraint(&c, stats);
+            t.truncate(i0 - 1);
+            // Constraint insertion may have created or unlinked nodes that
+            // match the kept prefix: recompute its frontiers in place.
+            for (j, &v) in t.iter().enumerate() {
+                extend_frontier(&self.nodes, &mut s.frontiers, j, v);
             }
         }
     }
 
-    /// Builds the shadow chain for a linearized filter `g` (most
-    /// specialized first): `pairs[j] = (shadow_j, g[j])` where `shadow_j`
-    /// realizes `P̄(u_j) = ∧_{i ≥ j} P(u_i)`.
-    fn build_shadow_chain(&mut self, g: &[usize], stats: &mut ProbeStats) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(g.len());
-        let mut meet: Option<Pattern> = None;
-        for &u in g.iter().rev() {
-            let pu = self.nodes[u].pattern.clone();
-            let m = match meet {
-                None => pu.clone(),
-                Some(prev) => prev
-                    .meet(&pu)
-                    .expect("patterns in a principal filter are compatible"),
-            };
-            let sh = if m == pu {
+    /// Fills `s.pairs` with the shadow chain of the linearized filter
+    /// `s.g` (most specialized first): `pairs[j] = (shadow_j, g[j])` where
+    /// `shadow_j` realizes `P̄(u_j) = ∧_{i ≥ j} P(u_i)`.
+    fn build_shadow_chain(&mut self, s: &mut Scratch, stats: &mut ProbeStats) {
+        s.pairs.clear();
+        if self.mode == ProbeMode::Chain {
+            debug_assert!(
+                s.g.windows(2).all(|w| self.nodes[w[0]]
+                    .pattern
+                    .specializes(&self.nodes[w[1]].pattern)),
+                "Chain mode requires the principal filter to be a chain \
+                 (Proposition 4.2); use ProbeMode::General for this GAO"
+            );
+            // Every suffix meet of a chain is its own bottom: the shadows
+            // are the original nodes.
+            s.pairs.extend(s.g.iter().map(|&u| (u, u)));
+            return;
+        }
+        // Suffix meets (Algorithm 6 lines 9–14), most general first, from
+        // the all-wildcard pattern of the filter's depth.
+        let depth = self.nodes[s.g[0]].pattern.len();
+        s.pairs.resize(s.g.len(), (ROOT, ROOT));
+        s.meet.clear();
+        s.meet.resize(depth, PatternComp::Star);
+        let mut meet_eqs = 0;
+        for j in (0..s.g.len()).rev() {
+            let u = s.g[j];
+            for (m, &c) in s.meet.iter_mut().zip(&self.nodes[u].pattern.0) {
+                match (*m, c) {
+                    (PatternComp::Star, PatternComp::Eq(_)) => {
+                        *m = c;
+                        meet_eqs += 1;
+                    }
+                    (PatternComp::Eq(a), PatternComp::Eq(b)) => {
+                        assert_eq!(a, b, "patterns in a principal filter are compatible");
+                    }
+                    _ => {}
+                }
+            }
+            // The meet specializes P(u), so it equals P(u) exactly when
+            // their equality counts agree.
+            let sh = if meet_eqs == self.nodes[u].eq_count {
                 u
             } else {
-                self.ensure_node(&m, stats)
+                self.ensure_node(&s.meet, stats)
             };
-            pairs.push((sh, u));
-            meet = Some(m);
+            s.pairs[j] = (sh, u);
         }
-        pairs.reverse();
-        pairs
     }
 
     /// `nextChainVal` on the two-element chain `{shadow, original}`
@@ -411,18 +418,32 @@ impl ConstraintTree {
     /// `get_probe_point` never returning covered tuples).
     pub fn covers_tuple(&self, t: &[Val]) -> bool {
         assert_eq!(t.len(), self.n_attrs);
-        let mut frontier = vec![ROOT];
+        let mut frontiers = vec![vec![ROOT]; t.len()];
         for (i, &v) in t.iter().enumerate() {
-            for &u in &frontier {
-                if self.nodes[u].intervals.covers(v) {
-                    return true;
-                }
+            if frontiers[i]
+                .iter()
+                .any(|&u| self.nodes[u].intervals.covers(v))
+            {
+                return true;
             }
             if i + 1 < t.len() {
-                frontier = self.frontier_extend(&frontier, v);
+                extend_frontier(&self.nodes, &mut frontiers, i, v);
             }
         }
         false
+    }
+}
+
+/// Sets `frontiers[i + 1]` to the nodes matching the prefix of
+/// `frontiers[i]` extended by the value `v`: each node's `= v` child and its
+/// `˚` child.
+fn extend_frontier(nodes: &[Node], frontiers: &mut [Vec<usize>], i: usize, v: Val) {
+    let (done, rest) = frontiers.split_at_mut(i + 1);
+    let next = &mut rest[0];
+    next.clear();
+    for &u in &done[i] {
+        next.extend(nodes[u].equalities.find(v).copied());
+        next.extend(nodes[u].star);
     }
 }
 

@@ -15,11 +15,11 @@
 //!
 //! The probe loop itself lives in [`crate::stream`] as the resumable
 //! [`TupleStream`] state machine; [`minesweeper_join`] is the
-//! drain-everything wrapper around it. Per DESIGN.md, branches whose
-//! bracketing coordinate is out of range are skipped (their index tuples
-//! are undefined), and the `ℓ`/`h` branches are deduplicated on exact hits
-//! — the duplicate `FindGap` calls of the pseudocode would return identical
-//! constraints.
+//! drain-everything wrapper around it. As "Deviations from the paper" in
+//! `docs/ARCHITECTURE.md` records, branches whose bracketing coordinate is
+//! out of range are skipped (their index tuples are undefined), and the
+//! `ℓ`/`h` branches are deduplicated on exact hits — the duplicate
+//! `FindGap` calls of the pseudocode would return identical constraints.
 
 use minesweeper_cds::ProbeMode;
 use minesweeper_storage::{Database, ExecStats, Tuple};

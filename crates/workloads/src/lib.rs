@@ -3,8 +3,8 @@
 //! * [`graphs`] — synthetic graph generators (Erdős–Rényi, Chung–Lu
 //!   power-law, preferential attachment);
 //! * [`snap_like`] — scaled stand-ins for the paper's three SNAP datasets
-//!   (Orkut, Epinions, LiveJournal; Section 5.2) — see DESIGN.md for the
-//!   substitution argument;
+//!   (Orkut, Epinions, LiveJournal; Section 5.2) — see "Deviations from
+//!   the paper" in `docs/ARCHITECTURE.md` for the substitution argument;
 //! * [`queries`] — the star / 3-path / tree queries of Section 5.2 with
 //!   Bernoulli(0.001-style) vertex sampling, plus triangle and path-k
 //!   query builders;

@@ -3,9 +3,9 @@
 //! The paper evaluates on `com-Orkut` (3.07M nodes / 117M edges),
 //! `soc-Epinions1` (76K / 509K) and `soc-LiveJournal1` (4.8M / 69M) from
 //! <http://snap.stanford.edu/data/>. Those graphs are not available
-//! offline, so — per the substitution rule in DESIGN.md — we generate
-//! Chung–Lu power-law graphs with the same node:edge *ratio*, scaled down
-//! by a configurable factor. What Figure 2 measures (certificate size vs
+//! offline, so — per the substitution rule in "Deviations from the paper"
+//! in `docs/ARCHITECTURE.md` — we generate Chung–Lu power-law graphs with
+//! the same node:edge *ratio*, scaled down by a configurable factor. What Figure 2 measures (certificate size vs
 //! input size under gap-skipping joins) depends on the sortedness/skew
 //! structure that power-law graphs reproduce, not on the identity of the
 //! exact SNAP edges.
