@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::pattern::{Pattern, PatternComp};
-use crate::{Val, NEG_INF, POS_INF};
+use crate::{open_interval_is_empty, Val, NEG_INF, POS_INF};
 
 /// A gap constraint: `pattern` (length `i−1`), then the open interval
 /// `(lo, hi)` on attribute position `pattern.len()`, then wildcards.
@@ -42,21 +42,6 @@ impl Constraint {
         }
     }
 
-    /// The backtracking constraint of Algorithm 3 line 15: rules out value
-    /// `p̄_{i₀}` at position `i₀` under the prefix `p̄₁ … p̄_{i₀−1}`.
-    pub fn backtrack(bottom: &Pattern, i0: usize) -> Self {
-        assert!(i0 >= 1 && i0 <= bottom.len());
-        let v = match bottom.0[i0 - 1] {
-            PatternComp::Eq(v) => v,
-            PatternComp::Star => panic!("backtrack position must be an equality"),
-        };
-        Constraint {
-            pattern: bottom.prefix(i0 - 1),
-            lo: v - 1,
-            hi: v + 1,
-        }
-    }
-
     /// 0-based attribute position of the interval component.
     pub fn depth(&self) -> usize {
         self.pattern.len()
@@ -66,17 +51,7 @@ impl Constraint {
     /// are no-ops; the pseudocode notes "the constraint is empty if
     /// `R[i^{v,ℓ}] = R[i^{v,h}]`").
     pub fn is_empty_interval(&self) -> bool {
-        let lo = if self.lo == NEG_INF {
-            NEG_INF + 1
-        } else {
-            self.lo + 1
-        };
-        let hi = if self.hi == POS_INF {
-            POS_INF - 1
-        } else {
-            self.hi - 1
-        };
-        lo > hi
+        open_interval_is_empty(self.lo, self.hi)
     }
 
     /// Does tuple `t` satisfy this constraint (i.e. is it covered /
@@ -159,19 +134,6 @@ mod tests {
         assert!(!Constraint::new(Pattern::empty(), 5, 7).is_empty_interval());
         assert!(!Constraint::new(Pattern::empty(), NEG_INF, 0).is_empty_interval());
         assert!(!Constraint::new(Pattern::empty(), NEG_INF, POS_INF).is_empty_interval());
-    }
-
-    #[test]
-    fn backtrack_constraint_shape() {
-        // Bottom pattern ⟨˚, 7, 3⟩ with i₀ = 3 → ⟨˚, 7, (2, 4)⟩.
-        let bottom = Pattern(vec![Star, Eq(7), Eq(3)]);
-        let c = Constraint::backtrack(&bottom, 3);
-        assert_eq!(c.pattern, Pattern(vec![Star, Eq(7)]));
-        assert_eq!((c.lo, c.hi), (2, 4));
-        // With i₀ = 2 → ⟨˚, (6, 8)⟩.
-        let c = Constraint::backtrack(&bottom, 2);
-        assert_eq!(c.pattern, Pattern(vec![Star]));
-        assert_eq!((c.lo, c.hi), (6, 8));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use crate::interval::IntervalSet;
-use crate::Val;
+use crate::{open_interval_is_empty, Val};
 
 /// A node address: `(level, idx)`.
 pub type DyadicNode = (u32, i64);
@@ -138,12 +138,10 @@ impl DyadicIntervalTree {
 
     /// Inserts the *open* `C`-interval `(l, r)` at leaf `b` (paper syntax).
     pub fn insert_leaf_open(&mut self, b: Val, l: Val, r: Val) -> usize {
-        let lo = l.saturating_add(1);
-        let hi = r.saturating_sub(1);
-        if lo > hi {
+        if open_interval_is_empty(l, r) {
             0
         } else {
-            self.insert_leaf_closed(b, lo, hi)
+            self.insert_leaf_closed(b, l + 1, r - 1)
         }
     }
 

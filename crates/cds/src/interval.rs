@@ -16,7 +16,7 @@
 //! since each absorbed range was paid for by its own insertion (Prop E.3).
 
 use crate::sorted_list::SortedList;
-use crate::{Val, NEG_INF, POS_INF};
+use crate::{open_interval_is_empty, Val};
 
 /// A set of disjoint closed integer ranges, keyed by their low endpoint.
 ///
@@ -66,9 +66,9 @@ impl IntervalSet {
     }
 
     /// The paper's `Next(v)`: the smallest `v' ≥ v` not covered by any
-    /// range. Saturates at [`POS_INF`], which callers treat as "no free
-    /// value". Ranges never touch, so the value just past the range
-    /// covering `v` is free.
+    /// range. Saturates at [`POS_INF`](crate::POS_INF), which callers
+    /// treat as "no free value". Ranges never touch, so the value just
+    /// past the range covering `v` is free.
     pub fn next(&self, v: Val) -> Val {
         match self.glb(v) {
             Some((_, hi)) if hi >= v => hi.saturating_add(1),
@@ -80,20 +80,7 @@ impl IntervalSet {
     /// intervals — those containing no integer — are ignored and return
     /// `false`. Returns `true` if coverage grew.
     pub fn insert_open(&mut self, l: Val, r: Val) -> bool {
-        let lo = if l == NEG_INF {
-            NEG_INF.saturating_add(1)
-        } else {
-            l.saturating_add(1)
-        };
-        let hi = if r == POS_INF {
-            POS_INF.saturating_sub(1)
-        } else {
-            r.saturating_sub(1)
-        };
-        if lo > hi {
-            return false;
-        }
-        self.insert_closed(lo, hi)
+        !open_interval_is_empty(l, r) && self.insert_closed(l + 1, r - 1)
     }
 
     /// Inserts the closed range `[lo, hi]`, merging as needed. Returns
@@ -183,6 +170,7 @@ impl IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NEG_INF, POS_INF};
 
     #[test]
     fn empty_set_covers_nothing() {

@@ -58,3 +58,12 @@ pub const POS_INF: Val = Val::MAX;
 /// yet; matches the `t = (−1, −1, −1)` first probe of the worked example in
 /// Appendix D.1.
 pub const PROBE_START: Val = -1;
+
+/// True when the open interval `(lo, hi)` contains no integer — the
+/// paper's "the constraint is empty if `R[i^{v,ℓ}] = R[i^{v,h}]`". The
+/// `±∞` sentinels are ordinary endpoints here and the arithmetic
+/// saturates, so whenever this is `false` the closed range
+/// `[lo + 1, hi − 1]` can be formed without overflow.
+pub fn open_interval_is_empty(lo: Val, hi: Val) -> bool {
+    lo.saturating_add(1) > hi.saturating_sub(1)
+}

@@ -142,11 +142,6 @@ impl Pattern {
         }
         Some(Pattern(out))
     }
-
-    /// The prefix of this pattern of the given length.
-    pub fn prefix(&self, len: usize) -> Pattern {
-        Pattern(self.0[..len].to_vec())
-    }
 }
 
 impl fmt::Display for Pattern {

@@ -27,17 +27,21 @@
 //! tuples that do not match the rest of the sub-chain. For chains the two
 //! coincide, so Algorithm 4 is unaffected.
 //!
-//! `get_probe_point` allocates nothing but the tuple it returns: the
-//! frontier stack, the filter, the (shadow, original) pairs and the
-//! running meet live in reusable scratch buffers, and in
-//! [`ProbeMode::Chain`] the pairs are `(u, u)` outright — every suffix meet
-//! of a chain is its own bottom.
+//! A probe allocates nothing beyond the tree's own growth (the nodes and
+//! intervals that backtracks and memoized gaps add): the frontier stack,
+//! the filter, the (shadow, original) pairs and the running meet live in
+//! reusable scratch buffers, [`ConstraintTree::get_probe_point_into`]
+//! writes the tuple into the caller's buffer, and in [`ProbeMode::Chain`]
+//! the pairs are `(u, u)` outright — every suffix meet of a chain is its
+//! own bottom. Constraints are inserted from borrowed slices
+//! ([`ConstraintTree::insert`], [`ConstraintTree::insert_point_exclusion`]),
+//! so the probe loop never builds a [`Pattern`] either.
 
 use crate::constraint::Constraint;
 use crate::interval::IntervalSet;
 use crate::pattern::{Pattern, PatternComp};
 use crate::sorted_list::SortedList;
-use crate::{Val, POS_INF, PROBE_START};
+use crate::{open_interval_is_empty, Val, POS_INF, PROBE_START};
 
 /// How `getProbePoint` should treat the principal filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,17 +171,52 @@ impl ConstraintTree {
         self.nodes.len()
     }
 
-    /// `InsConstraint` (Algorithm 5). Empty-interval constraints are
-    /// dropped; constraints whose equality path is already covered by an
-    /// ancestor interval are subsumed and dropped.
+    /// `InsConstraint` (Algorithm 5) for a [`Constraint`] value; see
+    /// [`ConstraintTree::insert`].
     pub fn insert_constraint(&mut self, c: &Constraint, stats: &mut ProbeStats) {
+        self.insert(&c.pattern.0, c.lo, c.hi, stats);
+    }
+
+    /// `InsConstraint` (Algorithm 5) of `⟨pattern, (lo, hi)⟩`, read from
+    /// a borrowed slice so the probe loop can insert gaps straight from a
+    /// reusable buffer. Empty-interval constraints are dropped;
+    /// constraints whose equality path is already covered by an ancestor
+    /// interval are subsumed and dropped.
+    pub fn insert(&mut self, pattern: &[PatternComp], lo: Val, hi: Val, stats: &mut ProbeStats) {
+        self.insert_along(pattern.iter().copied(), lo, hi, stats);
+    }
+
+    /// Inserts the output exclusion `⟨t₁, …, t_{n−1}, (t_n − 1, t_n + 1)⟩`
+    /// (Algorithm 2 line 13; [`Constraint::point_exclusion`]) without
+    /// building its pattern.
+    pub fn insert_point_exclusion(&mut self, t: &[Val], stats: &mut ProbeStats) {
+        let (&last, prefix) = t.split_last().expect("tuple must be non-empty");
+        self.insert_along(
+            prefix.iter().map(|&v| PatternComp::Eq(v)),
+            last - 1,
+            last + 1,
+            stats,
+        );
+    }
+
+    /// The one insertion body behind every public insert.
+    fn insert_along(
+        &mut self,
+        pattern: impl ExactSizeIterator<Item = PatternComp>,
+        lo: Val,
+        hi: Val,
+        stats: &mut ProbeStats,
+    ) {
         stats.constraints_inserted += 1;
-        assert!(c.depth() < self.n_attrs, "interval position out of range");
-        if c.is_empty_interval() {
+        assert!(
+            pattern.len() < self.n_attrs,
+            "interval position out of range"
+        );
+        if open_interval_is_empty(lo, hi) {
             return;
         }
         let mut v = ROOT;
-        for &comp in &c.pattern.0 {
+        for comp in pattern {
             if let PatternComp::Eq(val) = comp {
                 if self.nodes[v].intervals.covers(val) {
                     return; // subsumed by an existing constraint
@@ -185,7 +224,8 @@ impl ConstraintTree {
             }
             v = self.child_or_alloc(v, comp, stats);
         }
-        self.node_insert_open(v, c.lo, c.hi);
+        // Non-empty, so `[lo + 1, hi − 1]` does not overflow.
+        self.node_insert_closed(v, lo + 1, hi - 1);
     }
 
     /// The child of `v` along `comp`, allocated if missing.
@@ -211,20 +251,9 @@ impl ConstraintTree {
         c
     }
 
-    /// Inserts an open interval at a node, maintaining invariant (2): any
-    /// equality child whose label falls in the interval is deleted (its
+    /// Inserts a closed range at a node, maintaining invariant (2): any
+    /// equality child whose label falls in the range is deleted (its
     /// subtree is subsumed).
-    fn node_insert_open(&mut self, v: usize, lo: Val, hi: Val) {
-        if self.nodes[v].intervals.insert_open(lo, hi) {
-            let clo = lo.saturating_add(1);
-            let chi = hi.saturating_sub(1);
-            if clo <= chi {
-                self.nodes[v].equalities.delete_range_closed(clo, chi);
-            }
-        }
-    }
-
-    /// Inserts a closed range directly (memoization path).
     fn node_insert_closed(&mut self, v: usize, lo: Val, hi: Val) {
         if lo > hi {
             return;
@@ -247,20 +276,29 @@ impl ConstraintTree {
     /// — one satisfying no stored constraint — or `None` when the
     /// constraints cover the whole output space.
     pub fn get_probe_point(&mut self, stats: &mut ProbeStats) -> Option<Vec<Val>> {
+        let mut t = Vec::with_capacity(self.n_attrs);
+        self.get_probe_point_into(&mut t, stats).then_some(t)
+    }
+
+    /// [`ConstraintTree::get_probe_point`] into a caller-owned buffer:
+    /// on `true`, `t` holds the active tuple; on `false` the constraints
+    /// cover the whole output space (and `t`'s contents are unspecified).
+    /// A probe loop that keeps one buffer allocates nothing per probe.
+    pub fn get_probe_point_into(&mut self, t: &mut Vec<Val>, stats: &mut ProbeStats) -> bool {
         let mut s = std::mem::take(&mut *self.scratch);
-        let found = self.probe(&mut s, stats);
+        let found = self.probe(&mut s, t, stats);
         *self.scratch = s;
         found
     }
 
-    fn probe(&mut self, s: &mut Scratch, stats: &mut ProbeStats) -> Option<Vec<Val>> {
+    fn probe(&mut self, s: &mut Scratch, t: &mut Vec<Val>, stats: &mut ProbeStats) -> bool {
         let n = self.n_attrs;
-        let mut t: Vec<Val> = Vec::with_capacity(n);
+        t.clear();
         loop {
             let i = t.len();
             if i == n {
                 stats.probe_points += 1;
-                return Some(t);
+                return true;
             }
             let nodes = &self.nodes;
             s.g.clear();
@@ -297,11 +335,15 @@ impl ConstraintTree {
             let bottom = &self.nodes[s.pairs[0].0].pattern;
             let i0 = bottom.last_eq_position();
             if i0 == 0 {
-                return None;
+                return false;
             }
             stats.backtracks += 1;
-            let c = Constraint::backtrack(bottom, i0);
-            self.insert_constraint(&c, stats);
+            // Inserted from a scratch copy of the prefix, which borrows
+            // the tree.
+            let (prefix, lo, hi) = backtrack_constraint(&bottom.0, i0);
+            s.meet.clear();
+            s.meet.extend_from_slice(prefix);
+            self.insert(&s.meet, lo, hi, stats);
             t.truncate(i0 - 1);
             // Constraint insertion may have created or unlinked nodes that
             // match the kept prefix: recompute its frontiers in place.
@@ -447,6 +489,17 @@ fn extend_frontier(nodes: &[Node], frontiers: &mut [Vec<usize>], i: usize, v: Va
     }
 }
 
+/// The backtracking constraint of Algorithm 3 line 15 for a bottom
+/// pattern `p̄` whose last equality is at (1-based) position `i₀`: the
+/// prefix `p̄₁ … p̄_{i₀−1}` and the open interval `(p̄_{i₀} − 1, p̄_{i₀} + 1)`
+/// that rules out `p̄_{i₀}` under it.
+fn backtrack_constraint(bottom: &[PatternComp], i0: usize) -> (&[PatternComp], Val, Val) {
+    let PatternComp::Eq(v) = bottom[i0 - 1] else {
+        panic!("backtrack position must be an equality")
+    };
+    (&bottom[..i0 - 1], v - 1, v + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,6 +507,15 @@ mod tests {
 
     fn stats() -> ProbeStats {
         ProbeStats::default()
+    }
+
+    #[test]
+    fn backtrack_constraint_shape() {
+        // Bottom pattern ⟨˚, 7, 3⟩ with i₀ = 3 → ⟨˚, 7, (2, 4)⟩.
+        let bottom = [Star, Eq(7), Eq(3)];
+        assert_eq!(backtrack_constraint(&bottom, 3), (&[Star, Eq(7)][..], 2, 4));
+        // With i₀ = 2 → ⟨˚, (6, 8)⟩.
+        assert_eq!(backtrack_constraint(&bottom, 2), (&[Star][..], 6, 8));
     }
 
     /// Confine probes to `[0, dom]^n` by inserting box constraints.

@@ -34,7 +34,7 @@ use crate::dyadic::{DyadicIntervalTree, DyadicNode};
 use crate::interval::IntervalSet;
 use crate::pattern::PatternComp;
 use crate::tree::ProbeStats;
-use crate::{Val, NEG_INF, POS_INF, PROBE_START};
+use crate::{open_interval_is_empty, Val, NEG_INF, POS_INF, PROBE_START};
 
 /// The triangle constraint data structure.
 pub struct TriangleCds {
@@ -79,39 +79,53 @@ impl TriangleCds {
         }
     }
 
-    /// Inserts a constraint over the 3-attribute output space. Accepts
-    /// exactly the pattern shapes the triangle outer algorithm produces.
+    /// Inserts a constraint over the 3-attribute output space; see
+    /// [`TriangleCds::insert`].
     pub fn insert_constraint(&mut self, c: &Constraint, stats: &mut ProbeStats) {
+        self.insert(&c.pattern.0, c.lo, c.hi, stats);
+    }
+
+    /// Inserts the output exclusion `⟨a, b, (c − 1, c + 1)⟩` for the
+    /// tuple `t = (a, b, c)`.
+    pub fn insert_point_exclusion(&mut self, t: &[Val], stats: &mut ProbeStats) {
+        let &[a, b, c] = t else {
+            panic!("triangle CDS expects 3-attribute tuples, got {t:?}");
+        };
+        self.insert(
+            &[PatternComp::Eq(a), PatternComp::Eq(b)],
+            c - 1,
+            c + 1,
+            stats,
+        );
+    }
+
+    /// Inserts `⟨pattern, (lo, hi)⟩`, read from a borrowed slice. Accepts
+    /// exactly the pattern shapes the triangle outer algorithm produces.
+    pub fn insert(&mut self, pattern: &[PatternComp], lo: Val, hi: Val, stats: &mut ProbeStats) {
         stats.constraints_inserted += 1;
-        if c.is_empty_interval() {
+        if open_interval_is_empty(lo, hi) {
             return;
         }
         use PatternComp::{Eq, Star};
-        match c.pattern.0.as_slice() {
+        match pattern {
             [] => {
-                self.a_set.insert_open(c.lo, c.hi);
+                self.a_set.insert_open(lo, hi);
             }
             [Star] => {
-                self.b_star.insert_open(c.lo, c.hi);
+                self.b_star.insert_open(lo, hi);
             }
             [Eq(a)] => {
-                self.b_under_a
-                    .entry(*a)
-                    .or_default()
-                    .insert_open(c.lo, c.hi);
+                self.b_under_a.entry(*a).or_default().insert_open(lo, hi);
             }
             [Star, Star] => {
-                self.c_global.insert_open(c.lo, c.hi);
+                self.c_global.insert_open(lo, hi);
             }
             [Eq(a), Star] => {
-                self.c_under_a
-                    .entry(*a)
-                    .or_default()
-                    .insert_open(c.lo, c.hi);
+                self.c_under_a.entry(*a).or_default().insert_open(lo, hi);
             }
             [Star, Eq(b)] => {
                 if (0..self.dyadic.domain_size()).contains(b) {
-                    self.dyadic.insert_leaf_open(*b, c.lo, c.hi);
+                    self.dyadic.insert_leaf_open(*b, lo, hi);
                 }
                 // b outside the clamped domain: already dead, ignore.
             }
@@ -119,9 +133,9 @@ impl TriangleCds {
                 self.c_under_ab
                     .entry((*a, *b))
                     .or_default()
-                    .insert_open(c.lo, c.hi);
+                    .insert_open(lo, hi);
             }
-            _ => panic!("triangle CDS expects 3-attribute constraints, got {c}"),
+            _ => panic!("triangle CDS expects 3-attribute constraints, got {pattern:?}"),
         }
     }
 
@@ -170,8 +184,7 @@ impl TriangleCds {
                 );
                 // Dyadic descent along the path of b; prune C-exhausted
                 // subtrees.
-                let path: Vec<DyadicNode> = self.dyadic.path_to(b).collect();
-                for node in path {
+                for node in self.dyadic.path_to(b) {
                     let key = (a, node);
                     let z = self.cache.get(&key).copied().unwrap_or(PROBE_START);
                     let is_leaf = node.0 == self.dyadic.bits();

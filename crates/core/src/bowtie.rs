@@ -13,7 +13,7 @@
 //! elimination order, so the two-attribute `ConstraintTree` runs in chain
 //! mode; Theorem I.4 gives `O((|C| + Z)·log N)`.
 
-use minesweeper_cds::{Constraint, ConstraintTree, Pattern, PatternComp, ProbeMode, ProbeStats};
+use minesweeper_cds::{ConstraintTree, PatternComp, ProbeMode, ProbeStats};
 use minesweeper_storage::{ExecStats, TrieRelation};
 
 use crate::minesweeper::{merge_probe_stats, JoinResult};
@@ -63,32 +63,14 @@ pub fn bowtie_join(r: &TrieRelation, s: &TrieRelation, t: &TrieRelation) -> Join
             // Line 9–10.
             stats.outputs += 1;
             tuples.push(vec![x, y]);
-            cds.insert_constraint(&Constraint::point_exclusion(&[x, y]), &mut pst);
+            cds.insert_point_exclusion(&[x, y], &mut pst);
         } else {
             // Lines 12–18.
-            cds.insert_constraint(
-                &Constraint::new(Pattern::empty(), gr.lo_val, gr.hi_val),
-                &mut pst,
-            );
-            cds.insert_constraint(
-                &Constraint::new(Pattern::empty(), gs.lo_val, gs.hi_val),
-                &mut pst,
-            );
-            cds.insert_constraint(
-                &Constraint::new(Pattern(vec![PatternComp::Star]), gt.lo_val, gt.hi_val),
-                &mut pst,
-            );
-            if let Some((xv, g)) = &g_hi {
-                cds.insert_constraint(
-                    &Constraint::new(Pattern(vec![PatternComp::Eq(*xv)]), g.lo_val, g.hi_val),
-                    &mut pst,
-                );
-            }
-            if let Some((xv, g)) = &g_lo {
-                cds.insert_constraint(
-                    &Constraint::new(Pattern(vec![PatternComp::Eq(*xv)]), g.lo_val, g.hi_val),
-                    &mut pst,
-                );
+            cds.insert(&[], gr.lo_val, gr.hi_val, &mut pst);
+            cds.insert(&[], gs.lo_val, gs.hi_val, &mut pst);
+            cds.insert(&[PatternComp::Star], gt.lo_val, gt.hi_val, &mut pst);
+            for (xv, g) in [&g_hi, &g_lo].into_iter().flatten() {
+                cds.insert(&[PatternComp::Eq(*xv)], g.lo_val, g.hi_val, &mut pst);
             }
         }
     }

@@ -29,7 +29,7 @@ use crate::stream::{DbHandle, TupleStream};
 
 // The exploration engine is shared with the specialized joins
 // (`triangle_join`) and re-exported for them from the stream module.
-pub(crate) use crate::stream::{explore_atom, merge_probe_stats};
+pub(crate) use crate::stream::{explore_atom, merge_probe_stats, GapBuffer};
 
 /// Output tuples plus execution statistics.
 #[derive(Debug, Clone)]

@@ -22,12 +22,16 @@
 //!
 //! Relations are probed through [`GapCursor`]s that persist across resumed
 //! probes, so a forward-moving probe sequence gallops from the previous
-//! landing position instead of re-running full binary searches.
+//! landing position instead of re-running full binary searches. The probe
+//! tuple, the gaps found around it and the translated output live in
+//! buffers the stream reuses: [`TupleStream::next_tuple`] lends each
+//! certified tuple without allocating, and the `Iterator` impl copies it
+//! out.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use minesweeper_cds::{Constraint, ConstraintTree, Pattern, PatternComp, ProbeMode, ProbeStats};
+use minesweeper_cds::{ConstraintTree, PatternComp, ProbeMode, ProbeStats};
 use minesweeper_storage::{
     Database, ExecStats, GapCursor, NodeId, ShardSpec, StorageRef, TrieStorage, Tuple, Val,
     NEG_INF, POS_INF,
@@ -59,11 +63,16 @@ pub struct TupleStream<'db> {
     stats: ExecStats,
     /// One positional probe cursor per atom, persisted across resumes.
     cursors: Vec<GapCursor>,
-    /// Scratch buffer of gap constraints discovered around one probe.
-    gaps: Vec<Constraint>,
+    /// The probe point, refilled in place by every probe.
+    probe: Vec<Val>,
+    /// Gap constraints discovered around one probe, reused across probes.
+    gaps: GapBuffer,
     /// `inv[a]` = execution column holding original attribute `a`; `None`
     /// when the GAO is the identity.
     inv: Option<Vec<usize>>,
+    /// The last yielded tuple in the original numbering, when `inv`
+    /// translates it (the identity GAO yields `probe` itself).
+    out: Vec<Val>,
     /// Cooperative-cancellation flag, polled once per probe point: a
     /// parallel consumer tearing its pipeline down flips it so in-flight
     /// shards stop promptly even when their remaining probe work would
@@ -144,35 +153,29 @@ impl<'db> TupleStream<'db> {
         let mut cds = ConstraintTree::new(n, mode);
         let mut pst = ProbeStats::default();
         if spec.bounds.lo != NEG_INF {
-            cds.insert_constraint(
-                &Constraint::new(Pattern::empty(), NEG_INF, spec.bounds.lo),
-                &mut pst,
-            );
+            cds.insert(&[], NEG_INF, spec.bounds.lo, &mut pst);
         }
         if spec.bounds.hi != POS_INF {
-            cds.insert_constraint(
-                &Constraint::new(Pattern::empty(), spec.bounds.hi, POS_INF),
-                &mut pst,
-            );
+            cds.insert(&[], spec.bounds.hi, POS_INF, &mut pst);
         }
         if let Some(b2) = spec.second {
             debug_assert!(n >= 2, "nested shards need a second GAO attribute");
-            let star = Pattern(vec![PatternComp::Star]);
+            let star = [PatternComp::Star];
             if b2.lo != NEG_INF {
-                cds.insert_constraint(&Constraint::new(star.clone(), NEG_INF, b2.lo), &mut pst);
+                cds.insert(&star, NEG_INF, b2.lo, &mut pst);
             }
             if b2.hi != POS_INF {
-                cds.insert_constraint(&Constraint::new(star, b2.hi, POS_INF), &mut pst);
+                cds.insert(&star, b2.hi, POS_INF, &mut pst);
             }
         }
         for &(k, v) in eq_seeds {
             debug_assert!(k < n, "seed position inside the attribute space");
-            let stars = Pattern(vec![PatternComp::Star; k]);
+            let stars = vec![PatternComp::Star; k];
             if v != NEG_INF {
-                cds.insert_constraint(&Constraint::new(stars.clone(), NEG_INF, v), &mut pst);
+                cds.insert(&stars, NEG_INF, v, &mut pst);
             }
             if v != POS_INF {
-                cds.insert_constraint(&Constraint::new(stars, v, POS_INF), &mut pst);
+                cds.insert(&stars, v, POS_INF, &mut pst);
             }
         }
         TupleStream {
@@ -182,8 +185,10 @@ impl<'db> TupleStream<'db> {
             pst,
             stats,
             cursors,
-            gaps: Vec::new(),
+            probe: Vec::with_capacity(n),
+            gaps: GapBuffer::default(),
             inv,
+            out: Vec::with_capacity(n),
             cancel: None,
             done: false,
         }
@@ -225,10 +230,13 @@ impl<'db> TupleStream<'db> {
     }
 }
 
-impl Iterator for TupleStream<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
+impl TupleStream<'_> {
+    /// Resumes the probe loop until the next tuple is certified and
+    /// returns it in the caller's attribute numbering, borrowed from the
+    /// stream's own buffers: a consumer that encodes or copies the tuple
+    /// itself pays no allocation per probe or per tuple. `None` once the
+    /// space is covered (fused) or the stream was cancelled.
+    pub fn next_tuple(&mut self) -> Option<&[Val]> {
         if self.done {
             return None;
         }
@@ -237,9 +245,13 @@ impl Iterator for TupleStream<'_> {
             DbHandle::Owned(b) => b,
         };
         while !self.is_cancelled() {
-            let Some(t) = self.cds.get_probe_point(&mut self.pst) else {
+            if !self
+                .cds
+                .get_probe_point_into(&mut self.probe, &mut self.pst)
+            {
                 break;
-            };
+            }
+            let t = &self.probe[..];
             self.gaps.clear();
             let mut is_output = true;
             for (atom, cursor) in self.query.atoms.iter().zip(&mut self.cursors) {
@@ -247,38 +259,29 @@ impl Iterator for TupleStream<'_> {
                 // the sorted path keeps its direct calls and the hybrid path
                 // gets its rank/select overrides.
                 let matched = match db.probe_target(atom.rel) {
-                    StorageRef::Sorted(rel) => explore_atom(
-                        rel,
-                        atom,
-                        self.query.n_attrs,
-                        &t,
-                        cursor,
-                        &mut self.gaps,
-                        &mut self.stats,
-                    ),
-                    StorageRef::Hybrid(rel) => explore_atom(
-                        rel,
-                        atom,
-                        self.query.n_attrs,
-                        &t,
-                        cursor,
-                        &mut self.gaps,
-                        &mut self.stats,
-                    ),
+                    StorageRef::Sorted(rel) => {
+                        explore_atom(rel, atom, t, cursor, &mut self.gaps, &mut self.stats)
+                    }
+                    StorageRef::Hybrid(rel) => {
+                        explore_atom(rel, atom, t, cursor, &mut self.gaps, &mut self.stats)
+                    }
                 };
                 is_output &= matched;
             }
             if is_output {
-                self.cds
-                    .insert_constraint(&Constraint::point_exclusion(&t), &mut self.pst);
+                self.cds.insert_point_exclusion(t, &mut self.pst);
                 self.stats.outputs += 1;
                 return Some(match &self.inv {
-                    None => t,
-                    Some(inv) => inv.iter().map(|&c| t[c]).collect(),
+                    None => &self.probe,
+                    Some(inv) => {
+                        self.out.clear();
+                        self.out.extend(inv.iter().map(|&c| self.probe[c]));
+                        &self.out
+                    }
                 });
             }
-            for c in &self.gaps {
-                self.cds.insert_constraint(c, &mut self.pst);
+            for (pattern, lo, hi) in self.gaps.iter() {
+                self.cds.insert(pattern, lo, hi, &mut self.pst);
             }
         }
         // Fuse only on genuine exhaustion; a cancelled stream simply
@@ -290,6 +293,14 @@ impl Iterator for TupleStream<'_> {
     }
 }
 
+impl Iterator for TupleStream<'_> {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        self.next_tuple().map(<[Val]>::to_vec)
+    }
+}
+
 /// Folds CDS-internal counters into the execution statistics.
 pub(crate) fn merge_probe_stats(stats: &mut ExecStats, pst: &ProbeStats) {
     stats.probe_points += pst.probe_points;
@@ -298,135 +309,124 @@ pub(crate) fn merge_probe_stats(stats: &mut ExecStats, pst: &ProbeStats) {
     stats.cds_next_calls += pst.next_calls;
 }
 
+/// Gap constraints discovered around one probe, stored flat so a probe
+/// loop reuses the same memory for every probe: the patterns of all gaps
+/// share one [`PatternComp`] arena, and each gap is a span of it plus its
+/// open interval. `path` is the trie path of the exploration in progress,
+/// the equalities of the next gap's pattern.
+#[derive(Debug, Default)]
+pub(crate) struct GapBuffer {
+    comps: Vec<PatternComp>,
+    /// `(start, len, lo, hi)`: the gap `⟨comps[start..start + len], (lo, hi)⟩`.
+    spans: Vec<(usize, usize, Val, Val)>,
+    path: Vec<Val>,
+}
+
+impl GapBuffer {
+    /// Forgets every gap (keeping the memory).
+    pub(crate) fn clear(&mut self) {
+        self.comps.clear();
+        self.spans.clear();
+        self.path.clear();
+    }
+
+    /// Records the gap `(lo, hi)` found at atom depth `path.len()`:
+    /// `⟨…equalities at the atom's GAO positions…, (lo, hi)⟩`, stars at
+    /// the GAO positions the atom does not cover.
+    fn push(&mut self, atom: &Atom, lo: Val, hi: Val) {
+        let start = self.comps.len();
+        let len = atom.attrs[self.path.len()];
+        self.comps.resize(start + len, PatternComp::Star);
+        for (&pos, &v) in atom.attrs.iter().zip(&self.path) {
+            self.comps[start + pos] = PatternComp::Eq(v);
+        }
+        self.spans.push((start, len, lo, hi));
+    }
+
+    /// The recorded gaps, in discovery order: `(pattern, lo, hi)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[PatternComp], Val, Val)> + '_ {
+        self.spans
+            .iter()
+            .map(|&(start, len, lo, hi)| (&self.comps[start..start + len], lo, hi))
+    }
+}
+
 /// Explores one atom around probe `t` (Algorithm 2 lines 4–10 and 15–20):
-/// appends the discovered gap constraints and returns whether the all-exact
-/// descent matched `t`'s projection (line 11's test for this relation).
+/// appends the discovered gap constraints to `gaps` and returns whether
+/// the all-exact descent matched `t`'s projection (line 11's test for this
+/// relation).
 pub(crate) fn explore_atom<S: TrieStorage>(
     rel: &S,
     atom: &Atom,
-    n_attrs: usize,
     t: &[Val],
     cursor: &mut GapCursor,
-    gaps: &mut Vec<Constraint>,
+    gaps: &mut GapBuffer,
     stats: &mut ExecStats,
 ) -> bool {
-    let mut matched = true;
-    let mut prefix_vals: Vec<Val> = Vec::with_capacity(atom.attrs.len());
-    explore_rec(
+    debug_assert!(gaps.path.is_empty(), "no exploration in progress");
+    let mut ex = Explorer {
         rel,
         atom,
-        n_attrs,
         t,
-        rel.root(),
-        true,
-        &mut prefix_vals,
         cursor,
         gaps,
         stats,
-        &mut matched,
-    );
-    matched
+        matched: true,
+    };
+    ex.explore(rel.root(), true);
+    ex.matched
 }
 
-/// Recursive `{ℓ, h}`-branch exploration from a trie node at atom depth
-/// `prefix_vals.len()`. `on_exact_path` is true when every ancestor
-/// coordinate hit `t`'s projection exactly; `matched` is cleared when the
-/// exact path dies.
-#[allow(clippy::too_many_arguments)]
-fn explore_rec<S: TrieStorage>(
-    rel: &S,
-    atom: &Atom,
-    n_attrs: usize,
-    t: &[Val],
-    node: NodeId,
-    on_exact_path: bool,
-    prefix_vals: &mut Vec<Val>,
-    cursor: &mut GapCursor,
-    gaps: &mut Vec<Constraint>,
-    stats: &mut ExecStats,
-    matched: &mut bool,
-) {
-    let p = prefix_vals.len();
-    let k = atom.attrs.len();
-    let a = t[atom.attrs[p]];
-    let gap = cursor.find_gap(rel, node, a, stats);
-    if !gap.exact() {
-        // The gap (R[i^{v,ℓ}], R[i^{v,h}]) strictly brackets t's coordinate.
-        gaps.push(make_gap_constraint(
-            atom,
-            n_attrs,
-            prefix_vals,
-            gap.lo_val,
-            gap.hi_val,
-        ));
-        if on_exact_path {
-            *matched = false;
+/// The state of one atom's exploration around one probe.
+struct Explorer<'a, S> {
+    rel: &'a S,
+    atom: &'a Atom,
+    t: &'a [Val],
+    cursor: &'a mut GapCursor,
+    gaps: &'a mut GapBuffer,
+    stats: &'a mut ExecStats,
+    /// Cleared when the exact path dies.
+    matched: bool,
+}
+
+impl<S: TrieStorage> Explorer<'_, S> {
+    /// Recursive `{ℓ, h}`-branch exploration from a trie node at atom
+    /// depth `gaps.path.len()`. `on_exact_path` is true when every
+    /// ancestor coordinate hit `t`'s projection exactly.
+    fn explore(&mut self, node: NodeId, on_exact_path: bool) {
+        let p = self.gaps.path.len();
+        let a = self.t[self.atom.attrs[p]];
+        let gap = self.cursor.find_gap(self.rel, node, a, self.stats);
+        if !gap.exact() {
+            // The gap (R[i^{v,ℓ}], R[i^{v,h}]) strictly brackets t's
+            // coordinate.
+            self.gaps.push(self.atom, gap.lo_val, gap.hi_val);
+            if on_exact_path {
+                self.matched = false;
+            }
+        }
+        if p + 1 == self.atom.attrs.len() {
+            return;
+        }
+        // Descend into the low and high bracketing children (deduplicated
+        // when equal; skipped when out of range).
+        let lo_in_range = gap.lo_coord >= 1;
+        let hi_in_range = gap.hi_coord <= self.rel.child_count(node);
+        if lo_in_range {
+            let child = self.rel.child(node, gap.lo_coord);
+            self.gaps.path.push(gap.lo_val);
+            self.explore(child, on_exact_path && gap.exact());
+            self.gaps.path.pop();
+        } else if on_exact_path {
+            self.matched = false;
+        }
+        if hi_in_range && gap.hi_coord != gap.lo_coord {
+            let child = self.rel.child(node, gap.hi_coord);
+            self.gaps.path.push(gap.hi_val);
+            self.explore(child, false);
+            self.gaps.path.pop();
         }
     }
-    if p + 1 == k {
-        return;
-    }
-    // Descend into the low and high bracketing children (deduplicated when
-    // equal; skipped when out of range).
-    let lo_in_range = gap.lo_coord >= 1;
-    let hi_in_range = gap.hi_coord <= rel.child_count(node);
-    if lo_in_range {
-        let child = rel.child(node, gap.lo_coord);
-        prefix_vals.push(gap.lo_val);
-        explore_rec(
-            rel,
-            atom,
-            n_attrs,
-            t,
-            child,
-            on_exact_path && gap.exact(),
-            prefix_vals,
-            cursor,
-            gaps,
-            stats,
-            matched,
-        );
-        prefix_vals.pop();
-    } else if on_exact_path {
-        *matched = false;
-    }
-    if hi_in_range && gap.hi_coord != gap.lo_coord {
-        let child = rel.child(node, gap.hi_coord);
-        prefix_vals.push(gap.hi_val);
-        explore_rec(
-            rel,
-            atom,
-            n_attrs,
-            t,
-            child,
-            false,
-            prefix_vals,
-            cursor,
-            gaps,
-            stats,
-            matched,
-        );
-        prefix_vals.pop();
-    }
-}
-
-/// Builds the constraint `⟨…equalities at the atom's GAO positions…,
-/// (lo, hi)⟩` for a gap found at atom depth `prefix_vals.len()`.
-pub(crate) fn make_gap_constraint(
-    atom: &Atom,
-    n_attrs: usize,
-    prefix_vals: &[Val],
-    lo: Val,
-    hi: Val,
-) -> Constraint {
-    let p = prefix_vals.len();
-    let interval_pos = atom.attrs[p];
-    debug_assert!(interval_pos < n_attrs);
-    let mut comps = vec![PatternComp::Star; interval_pos];
-    for (j, &v) in prefix_vals.iter().enumerate() {
-        comps[atom.attrs[j]] = PatternComp::Eq(v);
-    }
-    Constraint::new(Pattern(comps), lo, hi)
 }
 
 #[cfg(test)]
@@ -444,15 +444,22 @@ mod tests {
             rel: RelId(0),
             attrs: vec![0, 2],
         };
-        let c = make_gap_constraint(&atom, 3, &[42], 5, 9);
-        assert_eq!(
-            c.pattern,
-            Pattern(vec![PatternComp::Eq(42), PatternComp::Star])
-        );
-        assert_eq!((c.lo, c.hi), (5, 9));
+        let mut gaps = GapBuffer::default();
+        gaps.path.push(42);
+        gaps.push(&atom, 5, 9);
         // Depth 0: interval at position 0, no pattern.
-        let c = make_gap_constraint(&atom, 3, &[], NEG_INF, POS_INF);
-        assert_eq!(c.pattern, Pattern::empty());
+        gaps.path.clear();
+        gaps.push(&atom, NEG_INF, POS_INF);
+        let got: Vec<_> = gaps.iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                (&[PatternComp::Eq(42), PatternComp::Star][..], 5, 9),
+                (&[][..], NEG_INF, POS_INF),
+            ]
+        );
+        gaps.clear();
+        assert_eq!(gaps.iter().count(), 0, "clear forgets every gap");
     }
 
     #[test]

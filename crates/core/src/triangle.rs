@@ -8,10 +8,10 @@
 //! `(a, b)` prefixes instead of the generic CDS's `Ω(|C|²)` — total
 //! runtime `Õ(|C|^{3/2} + Z)`.
 
-use minesweeper_cds::{Constraint, ProbeStats, TriangleCds};
+use minesweeper_cds::{ProbeStats, TriangleCds};
 use minesweeper_storage::{Database, ExecStats, GapCursor, RelId, StorageRef, TrieRelation};
 
-use crate::minesweeper::{explore_atom, merge_probe_stats, JoinResult};
+use crate::minesweeper::{explore_atom, merge_probe_stats, GapBuffer, JoinResult};
 use crate::query::{Query, QueryError};
 
 /// Evaluates `R(A,B) ⋈ S(B,C) ⋈ T(A,C)` with the triangle CDS. The three
@@ -32,7 +32,7 @@ pub fn triangle_join(
     let mut pst = ProbeStats::default();
     let mut stats = ExecStats::new();
     let mut tuples = Vec::new();
-    let mut gaps: Vec<Constraint> = Vec::new();
+    let mut gaps = GapBuffer::default();
     let mut cursors: Vec<GapCursor> = query
         .atoms
         .iter()
@@ -49,21 +49,21 @@ pub fn triangle_join(
         for (atom, cursor) in query.atoms.iter().zip(&mut cursors) {
             let matched = match db.probe_target(atom.rel) {
                 StorageRef::Sorted(rel) => {
-                    explore_atom(rel, atom, 3, &probe, cursor, &mut gaps, &mut stats)
+                    explore_atom(rel, atom, &probe, cursor, &mut gaps, &mut stats)
                 }
                 StorageRef::Hybrid(rel) => {
-                    explore_atom(rel, atom, 3, &probe, cursor, &mut gaps, &mut stats)
+                    explore_atom(rel, atom, &probe, cursor, &mut gaps, &mut stats)
                 }
             };
             is_output &= matched;
         }
         if is_output {
             stats.outputs += 1;
-            cds.insert_constraint(&Constraint::point_exclusion(&probe), &mut pst);
+            cds.insert_point_exclusion(&probe, &mut pst);
             tuples.push(probe.to_vec());
         } else {
-            for c in &gaps {
-                cds.insert_constraint(c, &mut pst);
+            for (pattern, lo, hi) in gaps.iter() {
+                cds.insert(pattern, lo, hi, &mut pst);
             }
         }
     }

@@ -64,6 +64,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -1353,6 +1354,17 @@ pub struct StatementResult {
     pub truncated: bool,
 }
 
+/// The encoded outcome of [`PreparedStatement::materialize`]: what
+/// [`StatementResult`] holds before its rows are decoded.
+pub(crate) struct RawResult {
+    /// Sorted tuples in the query's attribute numbering, hidden literal
+    /// positions included.
+    pub(crate) tuples: Vec<Tuple>,
+    pub(crate) stats: ExecStats,
+    pub(crate) shards: Option<Vec<minesweeper_core::ShardStats>>,
+    pub(crate) truncated: bool,
+}
+
 /// A prepared query handle (see [`Engine::prepare`]): parsing, planning,
 /// and any GAO re-indexing are already done and cached; `execute` /
 /// `stream` go straight to the probe loop. A statement owns `Arc`
@@ -1542,10 +1554,44 @@ impl PreparedStatement {
         decode(&self.dict, &self.entry.attr_types, &self.visible, t)
     }
 
-    /// True when `t` satisfies every literal seed (baseline evaluators
-    /// run the unconstrained shape and are filtered here).
-    fn matches_seeds(&self, t: &[Val]) -> bool {
-        self.seeds.iter().all(|&(a, v)| t[a] == v)
+    /// The row writer: writes the visible cells of the encoded tuple `t`
+    /// (original numbering) to `out` as one tab-separated, newline-ended
+    /// line — the bytes `Value`'s `Display` prints for the row
+    /// [`PreparedStatement::execute`] would decode from `t`, without
+    /// building it. Strings are resolved from the statement's dictionary
+    /// snapshot.
+    pub(crate) fn write_row(&self, out: &mut impl Write, t: &[Val]) -> io::Result<()> {
+        let mut sep: &[u8] = b"";
+        for cell in visible_cells(&self.dict, &self.entry.attr_types, &self.visible, t) {
+            out.write_all(sep)?;
+            match cell {
+                // Integer cells skip the formatting machinery: on the
+                // `paths` benchmark (2 vCPUs) `write!` cost ~7% more per
+                // request.
+                Cell::Int(v) => write_int(out, v)?,
+                other => write!(out, "{other}")?,
+            }
+            sep = b"\t";
+        }
+        out.write_all(b"\n")
+    }
+
+    /// Runs a registry baseline. Baselines evaluate the unconstrained
+    /// shape, so the literal seeds are applied here as a filter, and
+    /// `outputs` counts the rows that pass it.
+    fn run_baseline(
+        &self,
+        algo: &dyn minesweeper_core::Algorithm,
+    ) -> Result<(Vec<Tuple>, ExecStats), EngineError> {
+        let res = algo.run(&self.db, &self.entry.query)?;
+        let tuples: Vec<Tuple> = res
+            .tuples
+            .into_iter()
+            .filter(|t| self.seeds.iter().all(|&(a, v)| t[a] == v))
+            .collect();
+        let mut stats = res.stats;
+        stats.outputs = tuples.len() as u64;
+        Ok((tuples, stats))
     }
 
     /// Runs the statement to completion (modulo `limit`) and decodes the
@@ -1553,6 +1599,20 @@ impl PreparedStatement {
     /// order — for every evaluator, so results are directly comparable
     /// across `algo` choices.
     pub fn execute(&self, opts: &ExecOptions) -> Result<StatementResult, EngineError> {
+        let raw = self.materialize(opts)?;
+        Ok(StatementResult {
+            columns: self.columns(),
+            rows: raw.tuples.iter().map(|t| self.decode_row(t)).collect(),
+            stats: opts.collect_stats.then_some(raw.stats),
+            shards: if opts.collect_stats { raw.shards } else { None },
+            truncated: raw.truncated,
+        })
+    }
+
+    /// The raw half of [`PreparedStatement::execute`]: the same tuples in
+    /// the same order, still encoded (original numbering, sorted). The
+    /// row writer renders them without decoding to [`Value`]s.
+    pub(crate) fn materialize(&self, opts: &ExecOptions) -> Result<RawResult, EngineError> {
         let entry = &self.entry;
         let db = &self.db;
         if deadline_expired(opts.deadline) {
@@ -1560,10 +1620,9 @@ impl PreparedStatement {
         }
         if self.vacuous {
             let _ = self.dispatch(opts)?; // still surface unknown-algo errors
-            return Ok(StatementResult {
-                columns: self.columns(),
-                rows: Vec::new(),
-                stats: opts.collect_stats.then(ExecStats::new),
+            return Ok(RawResult {
+                tuples: Vec::new(),
+                stats: ExecStats::new(),
                 shards: None,
                 truncated: false,
             });
@@ -1657,35 +1716,29 @@ impl PreparedStatement {
                 (tuples, report.stats, Some(report.shards), truncated)
             }
             Dispatch::Baseline(algo) => {
-                let res = algo.run(db, &entry.query)?;
+                let (mut tuples, stats) = self.run_baseline(algo.as_ref())?;
                 // Baselines are all-at-once evaluators with no yield
                 // points; the deadline is honoured at completion.
                 if deadline_expired(opts.deadline) {
                     return Err(EngineError::DeadlineExceeded);
                 }
-                let mut tuples: Vec<Tuple> = res
-                    .tuples
-                    .into_iter()
-                    .filter(|t| self.matches_seeds(t))
-                    .collect();
                 let total = tuples.len();
                 if let Some(k) = opts.limit {
                     tuples.truncate(k);
                 }
                 let truncated = total > tuples.len();
-                (tuples, res.stats, None, truncated)
+                (tuples, stats, None, truncated)
             }
         };
-        Ok(StatementResult {
-            columns: self.columns(),
-            rows: tuples.iter().map(|t| self.decode_row(t)).collect(),
-            stats: opts.collect_stats.then_some(stats),
-            shards: if opts.collect_stats { shards } else { None },
+        Ok(RawResult {
+            tuples,
+            stats,
+            shards,
             truncated,
         })
     }
 
-    /// Opens a decoded stream over the statement.
+    /// Opens a row stream over the statement.
     ///
     /// With the serial Minesweeper engine the stream is **lazy**: rows
     /// are yielded as the probe loop certifies them (global attribute
@@ -1704,11 +1757,11 @@ impl PreparedStatement {
             StreamInner::Materialized(Vec::new().into_iter(), ExecStats::new())
         } else {
             match self.dispatch(opts)? {
-                Dispatch::Serial => StreamInner::Lazy(
+                Dispatch::Serial => StreamInner::Lazy(Box::new(
                     self.entry
                         .exec(&self.db)
                         .stream_seeded(&self.db, &self.seeds),
-                ),
+                )),
                 Dispatch::Parallel(threads) => {
                     StreamInner::Sharded(self.entry.exec(&self.db).stream_parallel_seeded(
                         &self.db,
@@ -1718,13 +1771,8 @@ impl PreparedStatement {
                     ))
                 }
                 Dispatch::Baseline(algo) => {
-                    let res = algo.run(&self.db, &self.entry.query)?;
-                    let tuples: Vec<Tuple> = res
-                        .tuples
-                        .into_iter()
-                        .filter(|t| self.matches_seeds(t))
-                        .collect();
-                    StreamInner::Materialized(tuples.into_iter(), res.stats)
+                    let (tuples, stats) = self.run_baseline(algo.as_ref())?;
+                    StreamInner::Materialized(tuples.into_iter(), stats)
                 }
             }
         };
@@ -1732,28 +1780,83 @@ impl PreparedStatement {
             dict: Arc::clone(&self.dict),
             entry: Arc::clone(&self.entry),
             visible: self.visible.clone(),
-            inner,
-            remaining: opts.limit.unwrap_or(usize::MAX),
-            deadline: opts.deadline,
-            expired: false,
+            src: RawSource {
+                inner,
+                current: Tuple::new(),
+                remaining: opts.limit.unwrap_or(usize::MAX),
+                deadline: opts.deadline,
+                expired: false,
+            },
         })
     }
 }
 
+/// One visible cell of an encoded tuple, as every output form shows it:
+/// an integer, a string resolved from the dictionary snapshot, or `#id`
+/// for a string id the snapshot lacks.
+enum Cell<'d> {
+    Int(Val),
+    Str(&'d str),
+    UnknownStr(Val),
+}
+
+impl fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Int(v) => fmt::Display::fmt(v, f),
+            Cell::Str(s) => f.write_str(s),
+            Cell::UnknownStr(id) => write!(f, "#{id}"),
+        }
+    }
+}
+
+/// The visible cells of the encoded tuple `t` (original numbering), in
+/// column order — the one definition behind both [`decode`] and the row
+/// writer ([`PreparedStatement::write_row`]).
+fn visible_cells<'a>(
+    dict: &'a Dictionary,
+    attr_types: &'a [ColumnType],
+    visible: &'a [bool],
+    t: &'a [Val],
+) -> impl Iterator<Item = Cell<'a>> + 'a {
+    t.iter()
+        .zip(attr_types)
+        .zip(visible)
+        .filter(|&(_, &visible)| visible)
+        .map(|((&v, ty), _)| match ty {
+            ColumnType::Int => Cell::Int(v),
+            ColumnType::Str => dict.resolve(v).map_or(Cell::UnknownStr(v), Cell::Str),
+        })
+}
+
 /// Shared row decode used by statements and streams.
 fn decode(dict: &Dictionary, attr_types: &[ColumnType], visible: &[bool], t: &[Val]) -> Vec<Value> {
-    t.iter()
-        .enumerate()
-        .filter(|&(a, _)| visible[a])
-        .map(|(a, &v)| match attr_types[a] {
-            ColumnType::Int => Value::Int(v),
-            ColumnType::Str => Value::Str(
-                dict.resolve(v)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("#{v}")),
-            ),
+    visible_cells(dict, attr_types, visible, t)
+        .map(|cell| match cell {
+            Cell::Int(v) => Value::Int(v),
+            other => Value::Str(other.to_string()),
         })
         .collect()
+}
+
+/// Writes `v` in decimal, as `Display` does, from a stack buffer.
+fn write_int(out: &mut impl Write, v: Val) -> io::Result<()> {
+    let mut buf = [0u8; 20]; // "-9223372036854775808" is 20 bytes
+    let mut at = buf.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.write_all(&buf[at..])
 }
 
 /// The evaluator an [`ExecOptions`] resolves to.
@@ -1790,19 +1893,31 @@ impl DispatchKind {
 }
 
 enum StreamInner<'e> {
-    Lazy(minesweeper_core::TupleStream<'e>),
+    /// Boxed: the probe loop's buffers make it the largest variant.
+    Lazy(Box<minesweeper_core::TupleStream<'e>>),
     Sharded(minesweeper_core::ShardedStream),
     Materialized(std::vec::IntoIter<Tuple>, ExecStats),
 }
 
-/// A decoded row stream (see [`PreparedStatement::stream`]). The lifetime
-/// ties lazy serial streams to the statement's database snapshot; the
-/// dictionary snapshot is owned, so decoding never takes a lock.
+/// A row stream (see [`PreparedStatement::stream`]) of decoded rows via
+/// the `Iterator` impl; the crate's row writer reads the encoded tuples
+/// underneath instead. The lifetime ties lazy serial streams to the statement's database
+/// snapshot; the dictionary snapshot is owned, so decoding never takes a
+/// lock.
 pub struct StatementStream<'e> {
     dict: Arc<Dictionary>,
     entry: Arc<CachedStatement>,
     visible: Vec<bool>,
+    src: RawSource<'e>,
+}
+
+/// The encoded tuples behind a [`StatementStream`], apart from its decode
+/// state so a decoded row can borrow both.
+struct RawSource<'e> {
     inner: StreamInner<'e>,
+    /// The last tuple taken from an owning source (the sharded merge,
+    /// a materialized baseline), lent out by [`RawSource::next`].
+    current: Tuple,
     remaining: usize,
     /// Clock bound from [`ExecOptions::deadline`], checked before every
     /// yield; once it passes, the stream reports exhaustion and
@@ -1811,17 +1926,55 @@ pub struct StatementStream<'e> {
     expired: bool,
 }
 
+impl RawSource<'_> {
+    /// See `StatementStream::next_raw`.
+    fn next(&mut self) -> Option<&[Val]> {
+        if self.remaining == 0 || self.expired {
+            return None;
+        }
+        if deadline_expired(self.deadline) {
+            // The underlying stream is simply never pulled again; when
+            // it drops (or `finish` consumes it), queued and in-flight
+            // shard work is cancelled — the disconnect path's machinery,
+            // triggered by the clock instead of a failed write.
+            self.expired = true;
+            return None;
+        }
+        self.remaining -= 1;
+        match &mut self.inner {
+            StreamInner::Lazy(s) => s.next_tuple(),
+            StreamInner::Sharded(s) => {
+                self.current = s.next()?;
+                Some(&self.current)
+            }
+            StreamInner::Materialized(it, _) => {
+                self.current = it.next()?;
+                Some(&self.current)
+            }
+        }
+    }
+}
+
 impl StatementStream<'_> {
     /// Execution counters so far (live mid-stream on the lazy path; the
     /// sum over finished shards on the parallel path — use
     /// [`StatementStream::finish`] for final, stable parallel counters;
     /// complete from the start on materialized paths).
     pub fn stats(&self) -> ExecStats {
-        match &self.inner {
+        match &self.src.inner {
             StreamInner::Lazy(s) => s.stats(),
             StreamInner::Sharded(s) => s.stats(),
             StreamInner::Materialized(_, stats) => stats.clone(),
         }
+    }
+
+    /// The next tuple, still encoded (original numbering, hidden literal
+    /// positions included) and borrowed until the following call: the
+    /// raw form the row writer renders, and what the decoding
+    /// [`Iterator`] impl builds [`Value`] rows from. Honours `limit` and
+    /// the deadline exactly like `next`.
+    pub(crate) fn next_raw(&mut self) -> Option<&[Val]> {
+        self.src.next()
     }
 
     /// True when the stream stopped because its deadline passed rather
@@ -1829,7 +1982,7 @@ impl StatementStream<'_> {
     /// that saw `next()` return `None` branch on this to tell a complete
     /// body from a cancelled one.
     pub fn deadline_expired(&self) -> bool {
-        self.expired
+        self.src.expired
     }
 
     /// After the stream has yielded its `limit` rows, reports whether at
@@ -1838,7 +1991,7 @@ impl StatementStream<'_> {
     /// tuple further (parallel workers emit one tuple of truncation
     /// evidence beyond the cap for exactly this call).
     pub fn truncated(&mut self) -> bool {
-        match &mut self.inner {
+        match &mut self.src.inner {
             StreamInner::Lazy(s) => s.next().is_some(),
             StreamInner::Sharded(s) => s.truncated(),
             StreamInner::Materialized(it, _) => it.next().is_some(),
@@ -1850,7 +2003,7 @@ impl StatementStream<'_> {
     /// returns the complete per-shard breakdown; other paths return
     /// their counters with no shard list.
     pub fn finish(self) -> (ExecStats, Option<Vec<minesweeper_core::ShardStats>>) {
-        match self.inner {
+        match self.src.inner {
             StreamInner::Lazy(s) => (s.stats(), None),
             StreamInner::Sharded(s) => {
                 let report = s.finish();
@@ -1865,29 +2018,8 @@ impl Iterator for StatementStream<'_> {
     type Item = Vec<Value>;
 
     fn next(&mut self) -> Option<Vec<Value>> {
-        if self.remaining == 0 || self.expired {
-            return None;
-        }
-        if deadline_expired(self.deadline) {
-            // The underlying stream is simply never pulled again; when
-            // it drops (or `finish` consumes it), queued and in-flight
-            // shard work is cancelled — the disconnect path's machinery,
-            // triggered by the clock instead of a failed write.
-            self.expired = true;
-            return None;
-        }
-        self.remaining -= 1;
-        let t = match &mut self.inner {
-            StreamInner::Lazy(s) => s.next()?,
-            StreamInner::Sharded(s) => s.next()?,
-            StreamInner::Materialized(it, _) => it.next()?,
-        };
-        Some(decode(
-            &self.dict,
-            &self.entry.attr_types,
-            &self.visible,
-            &t,
-        ))
+        let t = self.src.next()?;
+        Some(decode(&self.dict, &self.entry.attr_types, &self.visible, t))
     }
 }
 
@@ -1909,6 +2041,27 @@ mod tests {
         )
         .unwrap();
         e
+    }
+
+    #[test]
+    fn write_int_matches_display() {
+        for v in [
+            0,
+            7,
+            -7,
+            10,
+            -10,
+            99,
+            -100,
+            1 << 40,
+            Val::MAX,
+            Val::MIN,
+            Val::MIN + 1,
+        ] {
+            let mut buf = Vec::new();
+            write_int(&mut buf, v).unwrap();
+            assert_eq!(String::from_utf8(buf).unwrap(), v.to_string());
+        }
     }
 
     #[test]

@@ -22,6 +22,16 @@
 //!   `# … N more` marker (baselines run to completion, so the exact
 //!   remainder is known).
 //!
+//! Every shape writes its data rows the same way: tuples stay encoded
+//! (`i64`, the caller's attribute numbering) from the engine to this
+//! module, and the statement's row writer prints each row's visible
+//! cells into one reused line buffer — integers formatted in place,
+//! strings resolved from the statement's dictionary snapshot — which
+//! then goes out in a single write. No row is decoded to
+//! [`Value`](minesweeper_storage::Value)s on the way; that form is for
+//! library callers of [`PreparedStatement::execute`] and
+//! [`StatementStream`]'s `Iterator` impl.
+//!
 //! Writes are checked: a consumer that goes away (a closed pipe, a
 //! disconnected client) surfaces as an [`io::Error`], upon which the
 //! open stream is dropped — which *cancels* queued and in-flight shard
@@ -32,9 +42,9 @@ use std::io::{self, Write};
 
 use minesweeper_baselines::lookup;
 use minesweeper_core::{json_string, ShardStats};
-use minesweeper_storage::{ExecStats, Value};
+use minesweeper_storage::{ExecStats, Val};
 
-use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement};
+use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement, StatementStream};
 
 /// What [`write_body`] did: how many data rows went out, whether the
 /// consumer disconnected mid-stream (the body is then a prefix), and the
@@ -60,12 +70,6 @@ pub struct BodyOutcome {
     pub deadline_exceeded: bool,
 }
 
-/// One output row as tab-separated cells.
-fn row_text(row: &[Value]) -> String {
-    let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-    cells.join("\t")
-}
-
 /// Writes the full result body for `stmt` under `opts` (see the module
 /// docs for the shapes). Execution errors are returned; consumer
 /// disconnects are reported in the outcome.
@@ -81,43 +85,14 @@ pub fn write_body(
     run_opts.collect_stats = true;
 
     match kind {
-        DispatchKind::Baseline(_) => {
-            // Baselines materialize everything; the display limit is
-            // applied afterwards, so the exact remainder is known.
-            let display_limit = run_opts.limit;
-            run_opts.limit = None;
-            let result = stmt.execute(&run_opts)?;
-            let shown = display_limit.unwrap_or(usize::MAX).min(result.rows.len());
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", result.columns.join("\t")));
-            for r in &result.rows[..shown] {
-                w.data_line(format_args!("{}", row_text(r)));
-            }
-            if result.rows.len() > shown {
-                w.line(format_args!("# … {} more", result.rows.len() - shown));
-            }
-            Ok(BodyOutcome {
-                rows: w.rows,
-                disconnected: w.disconnected,
-                stats: result.stats.unwrap_or_default(),
-                shards: None,
-                deadline_exceeded: false,
-            })
-        }
         DispatchKind::Parallel(_) if run_opts.limit.is_some() => {
             let k = run_opts.limit.expect("guarded");
             // The incremental parallel stream: the global-order heap
             // merge yields the serial stream's exact prefix; the stream
             // itself enforces the cap and cancels remaining shards.
             let mut stream = stmt.stream(&run_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", stmt.columns().join("\t")));
-            let mut yielded = 0usize;
-            while !w.disconnected && yielded < k {
-                let Some(row) = stream.next() else { break };
-                w.data_line(format_args!("{}", row_text(&row)));
-                yielded += 1;
-            }
+            let mut w = CheckedWriter::body(out, stmt);
+            let yielded = w.stream_rows(&mut stream, k);
             // A deadline that passed mid-stream ends the body here: no
             // truncation marker (the body is not a truthful `limit` cut),
             // just a prefix the session terminates with `ERR DEADLINE`.
@@ -148,17 +123,12 @@ pub fn write_body(
                 ..run_opts.clone()
             };
             let mut stream = stmt.stream(&stream_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", stmt.columns().join("\t")));
-            let mut yielded = 0usize;
-            while !w.disconnected && yielded < k {
-                let Some(row) = stream.next() else { break };
-                w.data_line(format_args!("{}", row_text(&row)));
-                yielded += 1;
-            }
+            let mut w = CheckedWriter::body(out, stmt);
+            let yielded = w.stream_rows(&mut stream, k);
             let stats = stream.stats();
             let deadline_exceeded = stream.deadline_expired();
-            if !w.disconnected && !deadline_exceeded && yielded == k && stream.next().is_some() {
+            if !w.disconnected && !deadline_exceeded && yielded == k && stream.next_raw().is_some()
+            {
                 w.line(format_args!("# … output truncated at {k}"));
             }
             Ok(BodyOutcome {
@@ -169,20 +139,27 @@ pub fn write_body(
                 deadline_exceeded,
             })
         }
-        DispatchKind::Serial | DispatchKind::Parallel(_) => {
-            // No limit: materialize (sorted in the query's attribute
-            // order — identical bytes for both engines).
-            let result = stmt.execute(&run_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", result.columns.join("\t")));
-            for r in &result.rows {
-                w.data_line(format_args!("{}", row_text(r)));
+        DispatchKind::Serial | DispatchKind::Parallel(_) | DispatchKind::Baseline(_) => {
+            // Materialize, sorted in the query's attribute order —
+            // identical bytes for every engine. Only a baseline reaches
+            // here with a limit: it runs to completion anyway, so the
+            // limit is applied to the display and the exact remainder is
+            // known.
+            let display_limit = run_opts.limit.take();
+            let raw = stmt.materialize(&run_opts)?;
+            let shown = display_limit.unwrap_or(usize::MAX).min(raw.tuples.len());
+            let mut w = CheckedWriter::body(out, stmt);
+            for t in &raw.tuples[..shown] {
+                w.row(t);
+            }
+            if raw.tuples.len() > shown {
+                w.line(format_args!("# … {} more", raw.tuples.len() - shown));
             }
             Ok(BodyOutcome {
                 rows: w.rows,
                 disconnected: w.disconnected,
-                stats: result.stats.unwrap_or_default(),
-                shards: result.shards,
+                stats: raw.stats,
+                shards: raw.shards,
                 deadline_exceeded: false,
             })
         }
@@ -199,7 +176,7 @@ pub fn write_explain(
     opts: &ExecOptions,
     json: bool,
 ) -> Result<bool, EngineError> {
-    let mut w = CheckedWriter::new(out);
+    let mut w = CheckedWriter::new(out, stmt);
     if let DispatchKind::Baseline(name) = stmt.dispatch_kind(opts)? {
         // Baselines have no Minesweeper plan: say so rather than
         // mislabelling the planner's GAO/bound as the baseline's.
@@ -232,22 +209,35 @@ pub fn write_explain(
     Ok(!w.disconnected)
 }
 
-/// A line writer that records the first failed write instead of
+/// A body writer that records the first failed write instead of
 /// propagating it: once the consumer is gone every further write is
-/// skipped, and the caller reads `disconnected` to stop quietly.
+/// skipped, and the caller reads `disconnected` to stop quietly. Data
+/// rows go through the statement's row writer into one reused line
+/// buffer, so a row costs one `write_all` and no allocation.
 struct CheckedWriter<'w, W: Write> {
     out: &'w mut W,
+    stmt: &'w PreparedStatement,
+    line: Vec<u8>,
     rows: usize,
     disconnected: bool,
 }
 
 impl<'w, W: Write> CheckedWriter<'w, W> {
-    fn new(out: &'w mut W) -> Self {
+    fn new(out: &'w mut W, stmt: &'w PreparedStatement) -> Self {
         CheckedWriter {
             out,
+            stmt,
+            line: Vec::new(),
             rows: 0,
             disconnected: false,
         }
+    }
+
+    /// A writer for `stmt`'s result body, its `# col…` header written.
+    fn body(out: &'w mut W, stmt: &'w PreparedStatement) -> Self {
+        let mut w = Self::new(out, stmt);
+        w.line(format_args!("# {}", stmt.columns().join("\t")));
+        w
     }
 
     /// Writes one non-data line (header, marker).
@@ -260,16 +250,32 @@ impl<'w, W: Write> CheckedWriter<'w, W> {
         }
     }
 
-    /// Writes one data row, counting it.
-    fn data_line(&mut self, line: std::fmt::Arguments<'_>) {
+    /// Writes the encoded tuple `t` as one data row, counting it.
+    fn row(&mut self, t: &[Val]) {
         if self.disconnected {
             return;
         }
-        if writeln!(self.out, "{line}").is_err() {
+        self.line.clear();
+        self.stmt
+            .write_row(&mut self.line, t)
+            .expect("Vec writes cannot fail");
+        if self.out.write_all(&self.line).is_err() {
             self.disconnected = true;
         } else {
             self.rows += 1;
         }
+    }
+
+    /// Writes up to `k` rows pulled from `stream`, stopping early when
+    /// the consumer goes away; returns how many rows were pulled.
+    fn stream_rows(&mut self, stream: &mut StatementStream<'_>, k: usize) -> usize {
+        let mut yielded = 0;
+        while !self.disconnected && yielded < k {
+            let Some(t) = stream.next_raw() else { break };
+            self.row(t);
+            yielded += 1;
+        }
+        yielded
     }
 }
 

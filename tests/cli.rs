@@ -75,6 +75,36 @@ fn limit_streams_and_truncates_output() {
     assert!(stderr.contains("# outputs: 2"), "{stderr}");
 }
 
+/// `--stats` on a registry baseline counts the rows printed, not the
+/// rows of the unconstrained shape the baseline evaluated before the
+/// literal filter.
+#[test]
+fn baseline_stats_count_filtered_outputs() {
+    let e = write_temp("six.tsv", "1 17\n2 17\n17 3\n17 4\n3 4\n4 5\n");
+    for algo in ["leapfrog", "yannakakis"] {
+        let out = msj()
+            .args([
+                "--rel",
+                &format!("E={}", e.display()),
+                "E(x, 17), E(17, z)",
+                "--algo",
+                algo,
+                "--stats",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout, "# x\tz\n1\t3\n1\t4\n2\t3\n2\t4\n", "{algo}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("# outputs: 4\n"), "{algo}: {stderr}");
+    }
+}
+
 #[test]
 fn explain_prints_plan_without_executing() {
     let edges = write_temp("edges2.tsv", "1 2\n2 3\n");

@@ -398,3 +398,27 @@ proptest! {
         prop_assert_eq!(&got, &relabelled, "decoded order mirrors the encoded order");
     }
 }
+
+/// A baseline evaluates the unconstrained shape and the engine filters
+/// its rows by the literals; `outputs` must count the rows that pass the
+/// filter, on the materializing, streaming and body-writing paths alike.
+#[test]
+fn baseline_outputs_count_rows_after_the_literal_filter() {
+    let mut e = Engine::new();
+    e.load_tsv("E", "1 17\n2 17\n17 3\n17 4\n3 4\n4 5\n")
+        .unwrap();
+    let stmt = e.prepare("E(x, 17), E(17, z)").unwrap();
+    for algo in ["leapfrog", "yannakakis"] {
+        let opts = ExecOptions::default().with_algo(algo).with_stats();
+        let res = stmt.execute(&opts).unwrap();
+        assert_eq!(res.rows.len(), 4, "{algo}");
+        assert_eq!(res.stats.unwrap().outputs, 4, "{algo}: execute");
+        let mut stream = stmt.stream(&opts).unwrap();
+        assert_eq!(stream.by_ref().count(), 4, "{algo}");
+        assert_eq!(stream.stats().outputs, 4, "{algo}: stream");
+        let mut body = Vec::new();
+        let outcome = minesweeper_join::render::write_body(&mut body, &stmt, &opts).unwrap();
+        assert_eq!(outcome.rows, 4, "{algo}");
+        assert_eq!(outcome.stats.outputs, 4, "{algo}: write_body");
+    }
+}
